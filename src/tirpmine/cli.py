@@ -39,7 +39,9 @@ def _add_mining_args(p: argparse.ArgumentParser) -> None:
                    help="maximum pattern duration; -1 for unbounded")
     p.add_argument("--max-length", type=int, default=None,
                    help="cap on events per pattern (default unbounded)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility (must be >= 1); "
+                        "mining runs on one thread")
     p.add_argument("--stats", help="write run statistics to this file")
 
 

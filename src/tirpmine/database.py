@@ -43,12 +43,13 @@ def sort_intervals(intervals, epsilon: int = 0) -> list[SymbolicInterval]:
     """Order intervals by start, then end, then event name.
 
     At epsilon 0 this is a strict total order and reduces to a plain key
-    sort. For epsilon > 0 quasi-equality is not transitive, so the
-    comparator is applied as-is and the result may be comparator-dependent
-    for pathological inputs.
+    sort. For epsilon > 0 quasi-equality is not transitive, so the result of
+    the comparator sort depends on the order it starts from; starting it from
+    the exact key order makes the result a function of the interval set.
     """
+    intervals = sorted(intervals, key=lambda i: (i.start, i.end, i.event))
     if epsilon == 0:
-        return sorted(intervals, key=lambda i: (i.start, i.end, i.event))
+        return intervals
 
     def cmp(a, b):
         if interval_precedes(a, b, epsilon):

@@ -13,7 +13,6 @@ search space:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .model import Constraints
@@ -41,6 +40,10 @@ class StrategyFlags:
 
 @dataclass(frozen=True)
 class MiningConfig:
+    """Mining parameters. ``threads`` is validated and otherwise has no
+    effect: mining runs on one thread, and the value is accepted for
+    compatibility."""
+
     min_sup: float
     constraints: Constraints = Constraints()
     max_pattern_length: int | None = None
@@ -76,11 +79,6 @@ class MiningStats:
     pruned_uepp: int = 0
     patterns: int = 0
     elapsed: float = 0.0
-
-    def add(self, other: "MiningStats") -> None:
-        self.join_operations += other.join_operations
-        self.pruned_uqpp += other.pruned_uqpp
-        self.pruned_uepp += other.pruned_uepp
 
 
 def contains_subsequence(events, qes) -> bool:
@@ -123,46 +121,44 @@ def _result_from_vdb(vdb: VerticalDatabase, collect_instances: bool) -> STirpRes
     )
 
 
-class _Search:
-    """Depth-first growth from one seed, with private sink and stats."""
+def _search(qes, sf, singletons, psm, threshold, cfg, stats) -> list[STirpResult]:
+    """Grow every frequent seed depth-first and return the emitted results.
 
-    def __init__(self, qes, sf_events, singletons, psm, threshold, cfg):
-        self.qes = qes  # None disables query tracking (full mining)
-        self.sf_events = sf_events
-        self.singletons = singletons
-        self.psm = psm
-        self.threshold = threshold
-        self.cfg = cfg
-        self.sink: list[STirpResult] = []
-        self.stats = MiningStats()
+    The stack holds one generator of frequent children per level, so only
+    one child per level is alive and depth is not bounded by recursion. An
+    empty ``qes`` disables query tracking (full mining): every node matches.
+    """
+    emissions: list[STirpResult] = []
+    flags, c, max_len = cfg.strategies, cfg.constraints, cfg.max_pattern_length
 
-    def run(self, seed: VerticalDatabase) -> None:
-        self._dfs(seed, 0)
-
-    def _dfs(self, prefix: VerticalDatabase, match: int) -> None:
-        last = prefix.events[-1]
-        qes = self.qes
-        if qes is None:
-            self.sink.append(_result_from_vdb(prefix, self.cfg.collect_instances))
-        else:
-            if match < len(qes) and last == qes[match]:
-                match += 1
-            if match == len(qes):
-                self.sink.append(_result_from_vdb(prefix, self.cfg.collect_instances))
-            elif self.cfg.strategies.uqpp and self.psm.support(last, qes[match]) < self.threshold:
-                self.stats.pruned_uqpp += 1
-                return
-        max_len = self.cfg.max_pattern_length
-        if max_len is not None and len(prefix.events) >= max_len:
-            return
-        for f in self.sf_events:
-            if self.cfg.strategies.uepp and self.psm.support(last, f) < self.threshold:
-                self.stats.pruned_uepp += 1
+    def children(prefix, last, match):
+        for f in sf:
+            if flags.uepp and psm.support(last, f) < threshold:
+                stats.pruned_uepp += 1
                 continue
-            self.stats.join_operations += 1
-            ext = extend_vdb(prefix, f, self.singletons[f], self.cfg.constraints)
-            if ext.vertical_support() >= self.threshold:
-                self._dfs(ext, match)
+            stats.join_operations += 1
+            ext = extend_vdb(prefix, f, singletons[f], c)
+            if ext.vertical_support() >= threshold:
+                yield ext, match
+
+    stack = [iter([(singletons[e], 0) for e in sf])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        prefix, match = node
+        last = prefix.events[-1]
+        if match < len(qes) and last == qes[match]:
+            match += 1
+        if match == len(qes):
+            emissions.append(_result_from_vdb(prefix, cfg.collect_instances))
+        elif flags.uqpp and psm.support(last, qes[match]) < threshold:
+            stats.pruned_uqpp += 1
+            continue
+        if max_len is None or len(prefix.events) < max_len:
+            stack.append(children(prefix, last, match))
+    return emissions
 
 
 def _frequent_events(singletons, threshold) -> list[str]:
@@ -175,7 +171,7 @@ def _frequent_events(singletons, threshold) -> list[str]:
 
 
 def _mine_emissions(db: Database, qes, cfg: MiningConfig):
-    """Run the pipeline and return the raw emission list (pre-dedup) and stats."""
+    """Run the pipeline and return the emissions, in search order, and stats."""
     stats = MiningStats()
     targeted = cfg.mode == MODE_TARGETED
     if targeted or cfg.mode == MODE_FULL_POST:
@@ -200,23 +196,7 @@ def _mine_emissions(db: Database, qes, cfg: MiningConfig):
         return [], stats
     psm = build_psm(working, c)
 
-    search_qes = qes if targeted else None
-
-    def run_seed(event):
-        search = _Search(search_qes, sf, singletons, psm, threshold, cfg)
-        search.run(singletons[event])
-        return search
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            searches = list(pool.map(run_seed, sf))
-    else:
-        searches = [run_seed(e) for e in sf]
-
-    emissions: list[STirpResult] = []
-    for s in searches:  # merge in seed order for deterministic stats
-        emissions.extend(s.sink)
-        stats.add(s.stats)
+    emissions = _search(qes if targeted else (), sf, singletons, psm, threshold, cfg, stats)
     return emissions, stats
 
 
@@ -229,10 +209,9 @@ def mine(db: Database, qes, cfg: MiningConfig):
     """
     t0 = time.perf_counter()
     emissions, stats = _mine_emissions(db, qes, cfg)
-    # The same event sequence is reachable from a single seed, so this dedup
-    # should be a no-op; kept as a defensive guarantee of set semantics.
-    by_events = {r.events: r for r in emissions}
-    results = [by_events[k] for k in sorted(by_events)]
+    # Each event sequence is reached from one seed along one path, so the
+    # emissions are already unique (test_dedup_is_noop pins this).
+    results = sorted(emissions, key=lambda r: r.events)
     if cfg.mode == MODE_FULL_POST:
         results = post_filter(results, qes)
     stats.patterns = len(results)

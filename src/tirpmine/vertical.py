@@ -1,56 +1,70 @@
 """Vertical databases of patterns and the pair support matrix.
 
-A pattern occurrence records where one embedding of a pattern lives inside
-one sequence: positions are 1-based, ``eid`` is the position of the last
-source interval, and ``start_t``/``end_t`` are the composite envelope.
+A vertical database holds one pattern's occurrences grouped by sequence id,
+``sid -> [occurrence, ...]``, with no empty lists, so its vertical support
+is its number of keys. Singleton lists are in ascending ``eid`` order, which
+lets a join bisect them.
+
+An occurrence records where one embedding of a pattern lives inside one
+sequence: positions are 1-based, ``eid`` is the position of the last source
+interval, and ``start_t``/``end_t`` are the composite envelope. An extended
+occurrence keeps only its last step's relation and a link to the prefix
+occurrence it extends; its relations and source positions are read back
+through those links, so a new occurrence costs O(1) at any depth.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .model import Constraints, _check_extension, duration_ok
 from .database import Database
 
 
-@dataclass(frozen=True)
-class PatternOccurrence:
+class PatternOccurrence(NamedTuple):
     sid: int
     eid: int
     start_t: int
     end_t: int
-    relations: tuple[str, ...]
-    sources: tuple[int, ...]
+    relation: str | None = None  # relation of the last step; None for a singleton
+    prefix: PatternOccurrence | None = None
+
+    def _chain(self) -> list[PatternOccurrence]:
+        """This occurrence and its prefixes, last step first."""
+        chain = [self]
+        while chain[-1].prefix is not None:
+            chain.append(chain[-1].prefix)
+        return chain
+
+    @property
+    def relations(self) -> tuple[str, ...]:
+        return tuple(r.relation for r in reversed(self._chain()[:-1]))
+
+    @property
+    def sources(self) -> tuple[int, ...]:
+        return tuple(r.eid for r in reversed(self._chain()))
 
 
 @dataclass
 class VerticalDatabase:
     events: tuple[str, ...]
-    rows: list[PatternOccurrence]
-    _sid_index: dict | None = field(default=None, repr=False, compare=False)
+    by_sid: dict[int, list[PatternOccurrence]]
+
+    @property
+    def rows(self) -> list[PatternOccurrence]:
+        """All occurrences, grouped by sequence in insertion order."""
+        return [r for rows in self.by_sid.values() for r in rows]
 
     def vertical_support(self) -> int:
-        return len({r.sid for r in self.rows})
+        return len(self.by_sid)
 
     def horizontal_support(self, sid: int) -> int:
-        return sum(1 for r in self.rows if r.sid == sid)
+        return len(self.by_sid.get(sid, ()))
 
     def supporting_sids(self) -> list[int]:
-        return sorted({r.sid for r in self.rows})
-
-    def rows_by_sid(self):
-        """Per-sequence index: sid -> (ascending eid list, rows in eid order)."""
-        if self._sid_index is None:
-            index: dict[int, tuple[list[int], list[PatternOccurrence]]] = {}
-            for r in self.rows:
-                entry = index.get(r.sid)
-                if entry is None:
-                    entry = ([], [])
-                    index[r.sid] = entry
-                entry[0].append(r.eid)
-                entry[1].append(r)
-            self._sid_index = index
-        return self._sid_index
+        return sorted(self.by_sid)
 
 
 class PairSupportMatrix:
@@ -69,26 +83,13 @@ class PairSupportMatrix:
 def build_singleton_vdbs(db: Database, c: Constraints) -> dict[str, VerticalDatabase]:
     """One vertical database per event type; intervals failing the duration
     bounds are dropped."""
-    vdbs: dict[str, VerticalDatabase] = {}
+    groups: dict[str, dict[int, list[PatternOccurrence]]] = {}
     for seq in db.sequences:
         for pos, interval in enumerate(seq.intervals, start=1):
-            if not duration_ok(interval, c):
-                continue
-            vdb = vdbs.get(interval.event)
-            if vdb is None:
-                vdb = VerticalDatabase((interval.event,), [])
-                vdbs[interval.event] = vdb
-            vdb.rows.append(
-                PatternOccurrence(
-                    sid=seq.sid,
-                    eid=pos,
-                    start_t=interval.start,
-                    end_t=interval.end,
-                    relations=(),
-                    sources=(pos,),
-                )
-            )
-    return vdbs
+            if duration_ok(interval, c):
+                groups.setdefault(interval.event, {}).setdefault(seq.sid, []).append(
+                    PatternOccurrence(seq.sid, pos, interval.start, interval.end))
+    return {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()}
 
 
 def build_psm(db: Database, c: Constraints) -> PairSupportMatrix:
@@ -121,6 +122,9 @@ def build_psm(db: Database, c: Constraints) -> PairSupportMatrix:
     return PairSupportMatrix(counts)
 
 
+_eid = attrgetter("eid")
+
+
 def extend_vdb(
     prefix: VerticalDatabase,
     candidate: str,
@@ -133,25 +137,21 @@ def extend_vdb(
     eid are screened by the extension validity rule against the prefix's
     composite envelope.
     """
-    rows: list[PatternOccurrence] = []
-    index = singleton.rows_by_sid()
-    for r in prefix.rows:
-        entry = index.get(r.sid)
-        if entry is None:
+    by_sid: dict[int, list[PatternOccurrence]] = {}
+    candidates = singleton.by_sid
+    for sid, prefix_rows in prefix.by_sid.items():
+        qrows = candidates.get(sid)
+        if qrows is None:
             continue
-        eids, qrows = entry
-        for q in qrows[bisect_right(eids, r.eid):]:
-            rel = _check_extension(r.start_t, r.end_t, q.start_t, q.end_t, c)
-            if rel is None:
-                continue
-            rows.append(
-                PatternOccurrence(
-                    sid=r.sid,
-                    eid=q.eid,
-                    start_t=min(r.start_t, q.start_t),
-                    end_t=max(r.end_t, q.end_t),
-                    relations=r.relations + (rel,),
-                    sources=r.sources + (q.eid,),
-                )
-            )
-    return VerticalDatabase(prefix.events + (candidate,), rows)
+        rows = []
+        for r in prefix_rows:
+            start_t, end_t = r.start_t, r.end_t
+            for q in qrows[bisect_right(qrows, r.eid, key=_eid):]:
+                rel = _check_extension(start_t, end_t, q.start_t, q.end_t, c)
+                if rel is None:
+                    continue
+                rows.append(PatternOccurrence(
+                    sid, q.eid, min(start_t, q.start_t), max(end_t, q.end_t), rel, r))
+        if rows:
+            by_sid[sid] = rows
+    return VerticalDatabase(prefix.events + (candidate,), by_sid)

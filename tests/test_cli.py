@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tirpmine.cli import main
@@ -62,6 +64,27 @@ def test_min_sup_out_of_range_fails(example_file, tmp_path, capsys):
                  "--min-sup", "1.1"])
     assert code != 0
     assert "min_sup" in capsys.readouterr().err
+
+
+def test_zero_threads_fails(example_file, capsys):
+    code = main(["mine", "--input", str(example_file), *MINE_FLAGS, "--threads", "0"])
+    assert code == 2
+    assert "threads" in capsys.readouterr().err
+
+
+def test_deep_meeting_chain_does_not_recurse(tmp_path):
+    chain = tmp_path / "chain.db"
+    chain.write_text("1|" + " ".join(f"A,{2 * i},{2 * i + 2}" for i in range(300)) + "\n")
+    out = tmp_path / "out.tsv"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        code = main(["mine", "--input", str(chain), "--qes", "A", "--min-sup", "1",
+                     "--max-gap", "0", "--max-dura", "-1", "--output", str(out)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 300
 
 
 def test_malformed_input_names_line(tmp_path, capsys):

@@ -1,13 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tirpmine import (
+    Constraints,
     DatabaseError,
     GeneratorParams,
+    MiningConfig,
     SymbolicInterval,
     generate_synthetic,
     interval_precedes,
+    mine,
     parse_database,
     serialize_database,
     sort_intervals,
@@ -105,6 +110,29 @@ def test_round_trip(seq_triples):
     )
     db = parse_database(text)
     assert parse_database(serialize_database(db)) == db
+
+
+@pytest.mark.parametrize("epsilon", [1, 2])
+def test_mined_output_ignores_token_and_line_order(epsilon):
+    """At epsilon > 0 the sort's comparator is not transitive; the output
+    must still depend only on the set of intervals."""
+    rng = random.Random(epsilon)
+    cfg = MiningConfig(min_sup=0.2, constraints=Constraints(epsilon=epsilon),
+                       max_pattern_length=4, mode="full")
+    for _ in range(40):
+        lines = []
+        for sid in range(1, 6):
+            tokens = {(rng.choice("ABC"), start, start + rng.randint(0, 4))
+                      for start in (rng.randrange(12) for _ in range(6))}
+            lines.append([f"{e},{s},{t}" for e, s, t in sorted(tokens)])
+        text = "".join(f"{sid}|{' '.join(toks)}\n" for sid, toks in enumerate(lines, 1))
+        baseline, _ = mine(parse_database(text, epsilon), None, cfg)
+        for toks in lines:
+            rng.shuffle(toks)
+        numbered = [f"{sid}|{' '.join(toks)}\n" for sid, toks in enumerate(lines, 1)]
+        rng.shuffle(numbered)
+        shuffled, _ = mine(parse_database("".join(numbered), epsilon), None, cfg)
+        assert shuffled == baseline, text
 
 
 class TestGenerator:

@@ -81,7 +81,7 @@ class TestExtendVdb:
 
     def test_empty_prefix_join(self, example_db):
         vdbs = build_singleton_vdbs(example_db, EXAMPLE_CONSTRAINTS)
-        empty = VerticalDatabase(("Z",), [])
+        empty = VerticalDatabase(("Z",), {})
         ext = extend_vdb(empty, "A", vdbs["A"], EXAMPLE_CONSTRAINTS)
         assert ext.rows == []
 
