@@ -171,7 +171,7 @@ def _cmd_bench(args) -> int:
         results, stats = mine(db, qes, cfg)
         rows.append((name, stats.patterns, stats.join_operations, stats.elapsed * 1000))
         if name != "fasttirp":  # full-mode output is deliberately a superset
-            targeted_outputs[name] = {(r.events, r.vsup, r.supporting_sids) for r in results}
+            targeted_outputs[name] = {r.events: (r.vsup, r.supporting_sids) for r in results}
 
     table = "variant\tpatterns\tjoin_operations\telapsed_ms\n"
     table += "".join(
@@ -181,11 +181,23 @@ def _cmd_bench(args) -> int:
     if args.stats:
         _write(args.stats, table)
 
-    distinct = {frozenset(v) for v in targeted_outputs.values()}
-    if len(distinct) > 1:
-        print("bench: variant outputs disagree (bug)", file=sys.stderr)
+    outputs = list(targeted_outputs.items())
+    disagreeing = [(n, out) for n, out in outputs[1:] if out != outputs[0][1]]
+    if disagreeing:
+        (first, a), (other, b) = outputs[0], disagreeing[0]
+        events = min(e for e in a.keys() | b.keys() if a.get(e) != b.get(e))
+        print(f"bench: variant outputs disagree (bug): pattern {' '.join(events)!r}: "
+              f"{_describe(first, a, events)}; {_describe(other, b, events)}",
+              file=sys.stderr)
         return 1
     return 0
+
+
+def _describe(variant, output, events) -> str:
+    if events not in output:
+        return f"{variant} lacks it"
+    vsup, sids = output[events]
+    return f"{variant} has vsup={vsup} sids={','.join(map(str, sids))}"
 
 
 def _cmd_gen(args) -> int:

@@ -145,6 +145,11 @@ class GeneratorParams:
                      "max_time", "max_duration"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        distinct = self.max_time * self.max_duration * self.alphabet_size
+        if self.intervals_per_sequence > distinct:
+            raise ValueError(
+                f"intervals_per_sequence must be at most max_time * max_duration * "
+                f"alphabet_size = {distinct}, the number of distinct intervals")
 
 
 def generate_synthetic(p: GeneratorParams) -> Database:

@@ -194,9 +194,13 @@ def _mine_emissions(db: Database, qes, cfg: MiningConfig):
     sf = _frequent_events(singletons, threshold)
     if not sf:
         return [], stats
-    psm = build_psm(working, c)
+    # The search reads the matrix only at (frequent, frequent) and
+    # (frequent, query event); infrequent query events stay in scope so
+    # that query pruning reads the same support as over all events.
+    search_qes = qes if targeted else ()
+    psm = build_psm(working, c, set(sf).union(search_qes))
 
-    emissions = _search(qes if targeted else (), sf, singletons, psm, threshold, cfg, stats)
+    emissions = _search(search_qes, sf, singletons, psm, threshold, cfg, stats)
     return emissions, stats
 
 

@@ -92,18 +92,26 @@ def build_singleton_vdbs(db: Database, c: Constraints) -> dict[str, VerticalData
     return {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()}
 
 
-def build_psm(db: Database, c: Constraints) -> PairSupportMatrix:
+def build_psm(db: Database, c: Constraints,
+              events: set[str] | None = None) -> PairSupportMatrix:
     """Count, per ordered event pair, the sequences holding at least one
     interval pair whose merged duration fits max_dura.
 
     Gap bounds and min_dura are deliberately not checked here: a pair may
     embed inside a longer composite that satisfies them, so screening on
     them would break the downward closure the pruning relies on.
+
+    ``events``, if given, scopes the matrix to pairs of those events: each
+    sequence is cut to their intervals before pairing. The scope is exact
+    for every pair it keeps, since the cut removes no interval of either
+    event; pairs outside it read as 0.
     """
     counts: dict[tuple[str, str], int] = {}
     for seq in db.sequences:
         pairs: set[tuple[str, str]] = set()
         intervals = seq.intervals
+        if events is not None:
+            intervals = [iv for iv in intervals if iv.event in events]
         n = len(intervals)
         for i in range(n):
             a = intervals[i]

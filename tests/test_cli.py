@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from tirpmine import StrategyFlags, cli
 from tirpmine.cli import main
 
 from conftest import EXAMPLE_TEXT
@@ -114,6 +115,32 @@ def test_bench_running_example(example_file, tmp_path):
     assert int(rows["fasttirp"][1]) > 8
 
 
+def test_bench_names_disagreeing_variants(example_file, tmp_path, monkeypatch, capsys):
+    def bench_table(name):
+        table = tmp_path / name
+        code = main(["bench", "--input", str(example_file), *MINE_FLAGS,
+                     "--output", str(table)])
+        # elapsed_ms is the last column and varies from run to run
+        return code, [line.rsplit("\t", 1)[0] for line in table.read_text().splitlines()]
+
+    _, expected = bench_table("agree.tsv")
+    real_mine = cli.mine
+
+    def mine_dropping_first_tatirp1_result(db, qes, cfg):
+        results, stats = real_mine(db, qes, cfg)
+        if cfg.strategies == StrategyFlags(uqpp=False) and cfg.mode == "targeted":
+            results = results[1:]
+        return results, stats
+
+    monkeypatch.setattr(cli, "mine", mine_dropping_first_tatirp1_result)
+    code, table = bench_table("disagree.tsv")
+    assert code == 1
+    assert table == expected
+    err = capsys.readouterr().err
+    assert "pattern 'A C': fasttirp-post has vsup=" in err
+    assert "tatirp1 lacks it" in err
+
+
 def test_bench_single_variant(example_file, tmp_path):
     table = tmp_path / "table.tsv"
     code = main(["bench", "--input", str(example_file), *MINE_FLAGS,
@@ -130,6 +157,13 @@ def test_bench_unknown_variant(example_file, capsys):
 
 
 class TestGen:
+    def test_more_intervals_than_distinct_ones_fails(self, capsys):
+        # 1 time x 1 duration x 1 event allows one distinct interval, not 5
+        code = main(["gen", "--sequences", "2", "--intervals", "5", "--alphabet", "1",
+                     "--max-time", "1", "--max-duration", "1"])
+        assert code == 2
+        assert "intervals" in capsys.readouterr().err
+
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.db", tmp_path / "b.db"
         args = ["gen", "--sequences", "50", "--intervals", "5", "--alphabet", "10",

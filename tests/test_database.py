@@ -168,3 +168,13 @@ class TestGenerator:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             GeneratorParams(num_sequences=0, intervals_per_sequence=1, alphabet_size=1)
+
+    def test_more_intervals_than_distinct_ones(self):
+        with pytest.raises(ValueError, match="intervals"):
+            GeneratorParams(num_sequences=1, intervals_per_sequence=5, alphabet_size=2,
+                            max_time=2, max_duration=1)
+
+    def test_every_distinct_interval(self):
+        p = GeneratorParams(num_sequences=2, intervals_per_sequence=4, alphabet_size=2,
+                            max_time=2, max_duration=1, seed=4)
+        assert all(len(s.intervals) == 4 for s in generate_synthetic(p).sequences)

@@ -6,10 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tirpmine import (
+    VARIANTS,
+    Constraints,
     Database,
+    GeneratorParams,
     MiningConfig,
     StrategyFlags,
+    config_for_variant,
     contains_subsequence,
+    generate_synthetic,
     mine,
     parse_database,
     post_filter,
@@ -177,3 +182,39 @@ def test_thread_count_does_not_change_output(example_db, example_cfg):
     four, stats4 = mine(example_db, EXAMPLE_QES, replace(example_cfg, threads=4))
     assert four == one
     assert stats4.join_operations == stats1.join_operations
+
+
+# Search work per variant on one sparse seeded DB where the pair-support
+# matrix prunes in every variant and query pruning fires in tatirp2/12:
+# (patterns, join_operations, pruned_uqpp, pruned_uepp), keyed by query and
+# min_dura. At min_dura 8 event 1 is infrequent while pairs ending in it are
+# not (the matrix does not screen on min_dura), so query pruning depends on
+# the matrix holding pairs with infrequent query events. A change to the
+# matrix or to the search that shifts a single prune decision shows here.
+PINNED_DB = GeneratorParams(num_sequences=50, intervals_per_sequence=10, alphabet_size=12,
+                            max_time=60, max_duration=8, seed=2)
+PINNED_WORK = {
+    (("0",), 0): {"fasttirp": (76, 460, 0, 452), "fasttirp-post": (9, 460, 0, 452),
+                  "tatirp1": (9, 50, 0, 274), "tatirp2": (9, 240, 19, 192),
+                  "tatirp12": (9, 42, 10, 150)},
+    (("2", "0"), 0): {"fasttirp": (76, 460, 0, 452), "fasttirp-post": (1, 460, 0, 452),
+                      "tatirp1": (1, 1, 0, 155), "tatirp2": (1, 287, 19, 229),
+                      "tatirp12": (1, 1, 11, 23)},
+    (("1",), 8): {"fasttirp": (7, 21, 0, 28), "fasttirp-post": (0, 21, 0, 28),
+                  "tatirp1": (0, 0, 0, 4), "tatirp2": (0, 11, 3, 17),
+                  "tatirp12": (0, 0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("qes, min_dura", list(PINNED_WORK),
+                         ids=[f"{','.join(q)}-min_dura{d}" for q, d in PINNED_WORK])
+def test_search_work_is_pinned(qes, min_dura):
+    db = generate_synthetic(PINNED_DB)
+    base = MiningConfig(min_sup=0.1, constraints=Constraints(
+        epsilon=1, max_gap=8, min_dura=min_dura, max_dura=15))
+    work = {}
+    for variant in VARIANTS:
+        _, stats = mine(db, qes, config_for_variant(variant, base))
+        work[variant] = (stats.patterns, stats.join_operations,
+                         stats.pruned_uqpp, stats.pruned_uepp)
+    assert work == PINNED_WORK[qes, min_dura]

@@ -1,13 +1,18 @@
+import random
+
 import pytest
 
 from tirpmine import (
     Constraints,
+    GeneratorParams,
     Span,
     build_psm,
     build_singleton_vdbs,
     classify_relation,
     extend_vdb,
+    generate_synthetic,
     parse_database,
+    serialize_database,
     usfp_filter,
 )
 from tirpmine.vertical import PatternOccurrence, VerticalDatabase
@@ -67,6 +72,28 @@ class TestPsm:
         db = parse_database("1|A,0,3 B,30,33\n")
         psm = build_psm(db, Constraints(max_dura=20))
         assert psm.support("A", "B") == 0
+
+    def test_event_scope_is_exact(self):
+        binding = 0
+        for seed in range(50):
+            rng = random.Random(seed)
+            epsilon = seed % 3
+            params = GeneratorParams(
+                num_sequences=rng.randint(5, 20), intervals_per_sequence=rng.randint(2, 12),
+                alphabet_size=rng.randint(2, 8), max_time=40, max_duration=10, seed=seed)
+            db = parse_database(serialize_database(generate_synthetic(params)),
+                                epsilon=epsilon)
+            c = Constraints(epsilon=epsilon, max_dura=rng.randint(5, 25))
+            alphabet = sorted(db.alphabet)
+            events = set(rng.sample(alphabet, rng.randint(0, len(alphabet))))
+            full, scoped = build_psm(db, c), build_psm(db, c, events)
+            for a in events:
+                for b in events:
+                    assert scoped.support(a, b) == full.support(a, b)
+            assert len(scoped) <= len(full)
+            assert all(a in events and b in events for a, b in scoped._entries)
+            binding += len(full) < len(build_psm(db, Constraints(epsilon=epsilon)))
+        assert binding > 0  # max_dura drops pairs in some databases
 
 
 class TestExtendVdb:
