@@ -77,13 +77,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _upper_bound(value: int, flag: str) -> int | None:
+    """A ``--max-*`` value as a constraint: -1 means unbounded."""
+    if value < -1:
+        raise ValueError(f"{flag} must be >= 0, or -1 for unbounded")
+    return None if value == -1 else value
+
+
 def _constraints(args) -> Constraints:
     return Constraints(
         epsilon=args.epsilon,
         min_gap=args.min_gap,
-        max_gap=None if args.max_gap < 0 else args.max_gap,
+        max_gap=_upper_bound(args.max_gap, "--max-gap"),
         min_dura=args.min_dura,
-        max_dura=None if args.max_dura < 0 else args.max_dura,
+        max_dura=_upper_bound(args.max_dura, "--max-dura"),
     )
 
 

@@ -137,7 +137,7 @@ def _search(qes, sf, singletons, psm, threshold, cfg, stats) -> list[STirpResult
                 stats.pruned_uepp += 1
                 continue
             stats.join_operations += 1
-            ext = extend_vdb(prefix, f, singletons[f], c)
+            ext = extend_vdb(prefix, f, singletons[f], c, threshold)
             if ext.vertical_support() >= threshold:
                 yield ext, match
 

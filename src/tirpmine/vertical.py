@@ -11,11 +11,17 @@ interval, and ``start_t``/``end_t`` are the composite envelope. An extended
 occurrence keeps only its last step's relation and a link to the prefix
 occurrence it extends; its relations and source positions are read back
 through those links, so a new occurrence costs O(1) at any depth.
+
+A join reads only the candidate rows a prefix row can reach: those after it
+whose start lies within the gap and duration bounds of its envelope. Given a
+support threshold, it also returns at once when too few sequences are shared
+and stops once the sequences left cannot make it frequent.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -51,6 +57,13 @@ class PatternOccurrence(NamedTuple):
 class VerticalDatabase:
     events: tuple[str, ...]
     by_sid: dict[int, list[PatternOccurrence]]
+
+    @cached_property
+    def min_starts(self) -> dict[int, list[int]]:
+        """Per sequence, the suffix minima of the rows' start times:
+        entry ``i`` is the least ``start_t`` of rows ``i`` onward. Built on
+        first use and kept with this database."""
+        return {sid: _suffix_minima(rows) for sid, rows in self.by_sid.items()}
 
     @property
     def rows(self) -> list[PatternOccurrence]:
@@ -131,6 +144,15 @@ def build_psm(db: Database, c: Constraints,
 
 
 _eid = attrgetter("eid")
+_UNBOUNDED = float("inf")
+
+
+def _suffix_minima(rows: list[PatternOccurrence]) -> list[int]:
+    minima = [r.start_t for r in rows]
+    for i in range(len(minima) - 2, -1, -1):
+        if minima[i + 1] < minima[i]:
+            minima[i] = minima[i + 1]
+    return minima
 
 
 def extend_vdb(
@@ -138,23 +160,54 @@ def extend_vdb(
     candidate: str,
     singleton: VerticalDatabase,
     c: Constraints,
+    threshold: float = 0,
 ) -> VerticalDatabase:
     """Join the prefix pattern with a candidate event's singleton rows.
 
     For each prefix row, candidate rows in the same sequence with a larger
     eid are screened by the extension validity rule against the prefix's
-    composite envelope.
+    composite envelope ``(start_t, end_t)``. A candidate can pass only if it
+    starts by ``end_t + max(max_gap, epsilon)`` (a before step may leave a
+    gap up to max_gap, any other step one up to epsilon) and by
+    ``start_t + max_dura`` (else the composite lasts longer than max_dura);
+    an unbounded constraint sets no limit. The scan stops at the first
+    candidate past which every start exceeds that limit. It bisects the
+    suffix minima of the starts rather than the starts themselves, because
+    at epsilon > 0 starts in eid order need not be sorted; the minima never
+    decrease, so the cut drops no valid candidate.
+
+    ``threshold`` is the support a caller needs. A join that cannot reach it
+    returns as soon as that is certain: at once when fewer sequences are
+    shared, else once the sequences found plus those left fall short. Such
+    a result holds fewer than ``threshold`` sequences and only part of the
+    rows; a join that reaches it holds exactly the rows of the full join, in
+    the same order. The default of 0 always joins in full.
     """
+    events = prefix.events + (candidate,)
     by_sid: dict[int, list[PatternOccurrence]] = {}
-    candidates = singleton.by_sid
-    for sid, prefix_rows in prefix.by_sid.items():
+    prefixes, candidates = prefix.by_sid, singleton.by_sid
+    left = len(prefixes.keys() & candidates.keys()) if threshold else 0
+    if left < threshold:
+        return VerticalDatabase(events, by_sid)
+    gap_reach = _UNBOUNDED if c.max_gap is None else max(c.max_gap, c.epsilon)
+    dura_reach = _UNBOUNDED if c.max_dura is None else c.max_dura
+    min_starts = singleton.min_starts
+    for sid, prefix_rows in prefixes.items():
         qrows = candidates.get(sid)
         if qrows is None:
             continue
+        minima = min_starts[sid]
+        n = len(qrows)
         rows = []
         for r in prefix_rows:
             start_t, end_t = r.start_t, r.end_t
-            for q in qrows[bisect_right(qrows, r.eid, key=_eid):]:
+            limit = end_t + gap_reach
+            if start_t + dura_reach < limit:
+                limit = start_t + dura_reach
+            lo = bisect_right(qrows, r.eid, key=_eid)
+            if lo == n or minima[lo] > limit:
+                continue
+            for q in qrows[lo:bisect_right(minima, limit, lo + 1)]:
                 rel = _check_extension(start_t, end_t, q.start_t, q.end_t, c)
                 if rel is None:
                     continue
@@ -162,4 +215,8 @@ def extend_vdb(
                     sid, q.eid, min(start_t, q.start_t), max(end_t, q.end_t), rel, r))
         if rows:
             by_sid[sid] = rows
-    return VerticalDatabase(prefix.events + (candidate,), by_sid)
+        if threshold:
+            left -= 1
+            if len(by_sid) + left < threshold:
+                break
+    return VerticalDatabase(events, by_sid)

@@ -40,11 +40,13 @@ def example_cfg():
     return MiningConfig(min_sup=EXAMPLE_MINSUP, constraints=EXAMPLE_CONSTRAINTS)
 
 
-def random_trial(seed: int):
+def random_trial(seed: int, epsilon: int | None = None):
     """Deterministic small random database with random mining parameters,
-    sized for the brute-force enumerator."""
+    sized for the brute-force enumerator. ``epsilon`` overrides the drawn
+    margin (0 or 1) and leaves every other draw as it was."""
     rng = random.Random(seed)
-    epsilon = rng.choice([0, 1])
+    drawn = rng.choice([0, 1])
+    epsilon = drawn if epsilon is None else epsilon
     alphabet = "ABCDE"[: rng.randint(2, 5)]
     sequences = []
     for sid in range(1, rng.randint(2, 8) + 1):

@@ -73,6 +73,17 @@ def test_zero_threads_fails(example_file, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-gap", "--max-dura"])
+def test_upper_bound_below_minus_one_fails(example_file, capsys, flag):
+    code = main(["mine", "--input", str(example_file), "--qes", "A,C",
+                 "--min-sup", "0.4", flag, "-7"])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    # -1 still means unbounded
+    assert main(["mine", "--input", str(example_file), "--qes", "A,C",
+                 "--min-sup", "0.4", flag, "-1"]) == 0
+
+
 def test_deep_meeting_chain_does_not_recurse(tmp_path):
     chain = tmp_path / "chain.db"
     chain.write_text("1|" + " ".join(f"A,{2 * i},{2 * i + 2}" for i in range(300)) + "\n")

@@ -75,3 +75,23 @@ def test_miner_matches_oracle(seed):
         enumerate_all(db, constraints, max_len, min_sup * len(db)), qes
     )
     assert {r.events: (r.vsup, r.supporting_sids) for r in results} == expected
+
+
+# At epsilon 2 each sorted sequence holds a Y that starts before the Y ahead
+# of it, and only that Y extends X. In the first, the sorted order is X(0,4)
+# Y(1,5) Y(7,8) Y(6,14) X(9,14), and X Y X needs X(0,4) meets Y(6,14): a
+# scan that stops at the first start past the window, Y(7,8), misses it. In
+# the second, X(0,4) Y(7,8) Y(8,11) Y(6,14), a bisection of the raw starts
+# 7, 8, 6 misses X Y as well.
+@pytest.mark.parametrize("text, pattern", [
+    ("1|Y,7,8 Y,1,5 X,9,14 Y,6,14 X,0,4\n", ("X", "Y", "X")),
+    ("1|Y,8,11 X,0,4 Y,6,14 Y,7,8\n", ("X", "Y")),
+], ids=["scan", "bisect"])
+def test_window_cut_with_out_of_order_starts(text, pattern):
+    db = parse_database(text, epsilon=2)
+    constraints = Constraints(epsilon=2, max_gap=1, max_dura=None)
+    cfg = MiningConfig(min_sup=1, constraints=constraints, mode="full")
+    results, _ = mine(db, None, cfg)
+    found = {r.events: (r.vsup, r.supporting_sids) for r in results}
+    assert found[pattern] == (1, (1,))
+    assert found == enumerate_all(db, constraints, 5, 1)
