@@ -94,6 +94,17 @@ def _constraints(args) -> Constraints:
     )
 
 
+def _config(args, **fields) -> MiningConfig:
+    """The config of the flags ``mine`` and ``bench`` share; ``fields`` sets the rest."""
+    return MiningConfig(
+        min_sup=args.min_sup,
+        constraints=_constraints(args),
+        max_pattern_length=args.max_length,
+        threads=args.threads,
+        **fields,
+    )
+
+
 def _parse_qes(args) -> tuple[str, ...] | None:
     if args.qes is None:
         return None
@@ -139,16 +150,8 @@ def _format_stats(stats) -> str:
 
 def _cmd_mine(args) -> int:
     qes = _parse_qes(args)
-    cfg = MiningConfig(
-        min_sup=args.min_sup,
-        constraints=_constraints(args),
-        max_pattern_length=args.max_length,
-        strategies=StrategyFlags(
-            usfp=not args.no_usfp, uqpp=not args.no_uqpp, uepp=not args.no_uepp
-        ),
-        mode=args.mode,
-        threads=args.threads,
-    )
+    flags = StrategyFlags(usfp=not args.no_usfp, uqpp=not args.no_uqpp, uepp=not args.no_uepp)
+    cfg = _config(args, strategies=flags, mode=args.mode)
     db = _load_db(args)
     results, stats = mine(db, qes, cfg)
     _write(args.output, _format_results(results))
@@ -163,12 +166,7 @@ def _cmd_bench(args) -> int:
     for name in names:
         if name not in VARIANTS:
             raise ValueError(f"unknown variant {name!r} in --variants")
-    base = MiningConfig(
-        min_sup=args.min_sup,
-        constraints=_constraints(args),
-        max_pattern_length=args.max_length,
-        threads=args.threads,
-    )
+    base = _config(args)
     db = _load_db(args)
 
     rows = []

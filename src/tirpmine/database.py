@@ -42,12 +42,12 @@ class Database:
 def sort_intervals(intervals, epsilon: int = 0) -> list[SymbolicInterval]:
     """Order intervals by start, then end, then event name.
 
-    At epsilon 0 this is a strict total order and reduces to a plain key
-    sort. For epsilon > 0 quasi-equality is not transitive, so the result of
-    the comparator sort depends on the order it starts from; starting it from
-    the exact key order makes the result a function of the interval set.
+    At epsilon 0 this is a strict total order, the intervals' own tuple
+    order. For epsilon > 0 quasi-equality is not transitive, so the result
+    of the comparator sort depends on the order it starts from; starting it
+    from the exact order makes the result a function of the interval set.
     """
-    intervals = sorted(intervals, key=lambda i: (i.start, i.end, i.event))
+    intervals = sorted(intervals)
     if epsilon == 0:
         return intervals
 
@@ -62,15 +62,21 @@ def sort_intervals(intervals, epsilon: int = 0) -> list[SymbolicInterval]:
 
 
 def _validate(sid: int, intervals, line_no=None) -> None:
+    """Reject an end before its start, a negative time or a duplicate interval."""
     seen = set()
     for i in intervals:
-        key = (i.start, i.end, i.event)
-        if key in seen:
-            where = f" (line {line_no})" if line_no is not None else ""
-            raise DatabaseError(
-                f"sequence {sid}{where}: duplicate interval ({i.event},{i.start},{i.end})"
-            )
-        seen.add(key)
+        if i.end < i.start:
+            problem = "end < start in"
+        elif i.start < 0:
+            problem = "negative time in"
+        elif i in seen:
+            problem = "duplicate interval"
+        else:
+            seen.add(i)
+            continue
+        where = f" (line {line_no})" if line_no is not None else ""
+        raise DatabaseError(
+            f"sequence {sid}{where}: {problem} ({i.event},{i.start},{i.end})")
 
 
 def make_sequence(
@@ -113,10 +119,6 @@ def parse_database(text: str, epsilon: int = 0) -> Database:
                 raise DatabaseError(
                     f"line {line_no}: non-integer timestamp in {tok!r}"
                 ) from None
-            if end < start:
-                raise DatabaseError(f"line {line_no}: end < start in {tok!r}")
-            if start < 0:
-                raise DatabaseError(f"line {line_no}: negative time in {tok!r}")
             intervals.append(SymbolicInterval(start, end, event))
         _validate(sid, intervals, line_no)
         sequences.append(TimeIntervalSequence(sid, tuple(sort_intervals(intervals, epsilon))))
@@ -161,11 +163,10 @@ def generate_synthetic(p: GeneratorParams) -> Database:
     alphabet = [str(i) for i in range(p.alphabet_size)]
     sequences = []
     for sid in range(1, p.num_sequences + 1):
-        chosen: set[tuple[int, int, str]] = set()
+        chosen: set[SymbolicInterval] = set()
         while len(chosen) < p.intervals_per_sequence:
             start = rng.randrange(p.max_time)
             end = start + rng.randint(1, p.max_duration)
-            chosen.add((start, end, rng.choice(alphabet)))
-        intervals = [SymbolicInterval(s, e, ev) for s, e, ev in chosen]
-        sequences.append(TimeIntervalSequence(sid, tuple(sort_intervals(intervals))))
+            chosen.add(SymbolicInterval(start, end, rng.choice(alphabet)))
+        sequences.append(TimeIntervalSequence(sid, tuple(sort_intervals(chosen))))
     return Database(tuple(sequences))

@@ -6,6 +6,7 @@ that two time points within ``epsilon`` of each other count as equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # The eight temporal relations between an ordered pair of intervals.
 BEFORE = "b"
@@ -25,17 +26,18 @@ QUASI_EQUAL = 0
 FOLLOWS_EPS = 1
 
 
-@dataclass(frozen=True)
-class SymbolicInterval:
-    """One event occurrence: an event type with a start and end time."""
+class SymbolicInterval(NamedTuple):
+    """One event occurrence: an event type with a start and end time.
+
+    A named tuple, so it sorts by (start, end, event), the canonical interval
+    order. Construction checks nothing: ``parse_database`` and
+    ``make_sequence`` reject an end before its start, a negative time and a
+    duplicate within a sequence.
+    """
 
     start: int
     end: int
     event: str
-
-    def __post_init__(self):
-        if self.end < self.start:
-            raise ValueError(f"interval end {self.end} precedes start {self.start}")
 
     @property
     def duration(self) -> int:
@@ -169,8 +171,6 @@ def check_extension_validity(a, b, c: Constraints) -> str | None:
     return _check_extension(a.start, a.end, b.start, b.end, c)
 
 
-def duration_ok(interval: SymbolicInterval, c: Constraints) -> bool:
+def duration_ok(duration: int, c: Constraints) -> bool:
     """Single-interval duration filter applied when seeding patterns."""
-    if interval.duration < c.min_dura:
-        return False
-    return c.max_dura is None or interval.duration <= c.max_dura
+    return c.min_dura <= duration and (c.max_dura is None or duration <= c.max_dura)

@@ -40,7 +40,7 @@ def enumerate_all(
             nxt = seq.intervals[j]
             # extension candidates are drawn from duration-valid intervals,
             # matching the join against singleton vertical databases
-            if not duration_ok(nxt, c):
+            if not duration_ok(nxt.duration, c):
                 continue
             if _check_extension(start_t, end_t, nxt.start, nxt.end, c) is None:
                 continue
@@ -49,7 +49,7 @@ def enumerate_all(
 
     for seq in db.sequences:
         for i, interval in enumerate(seq.intervals):
-            if duration_ok(interval, c):
+            if duration_ok(interval.duration, c):
                 grow(seq, i, interval.start, interval.end, (interval.event,))
 
     return {

@@ -98,10 +98,10 @@ def build_singleton_vdbs(db: Database, c: Constraints) -> dict[str, VerticalData
     bounds are dropped."""
     groups: dict[str, dict[int, list[PatternOccurrence]]] = {}
     for seq in db.sequences:
-        for pos, interval in enumerate(seq.intervals, start=1):
-            if duration_ok(interval, c):
-                groups.setdefault(interval.event, {}).setdefault(seq.sid, []).append(
-                    PatternOccurrence(seq.sid, pos, interval.start, interval.end))
+        for pos, (start, end, event) in enumerate(seq.intervals, start=1):
+            if duration_ok(end - start, c):
+                groups.setdefault(event, {}).setdefault(seq.sid, []).append(
+                    PatternOccurrence(seq.sid, pos, start, end))
     return {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()}
 
 
@@ -122,19 +122,17 @@ def build_psm(db: Database, c: Constraints,
     counts: dict[tuple[str, str], int] = {}
     for seq in db.sequences:
         pairs: set[tuple[str, str]] = set()
-        intervals = seq.intervals
-        if events is not None:
-            intervals = [iv for iv in intervals if iv.event in events]
-        n = len(intervals)
-        for i in range(n):
-            a = intervals[i]
-            for j in range(i + 1, n):
-                b = intervals[j]
-                key = (a.event, b.event)
+        # As plain tuples: the pair loop unpacks each one many times, which
+        # costs several times less for a plain tuple than for a named one.
+        intervals = [tuple(iv) for iv in seq.intervals
+                     if events is None or iv.event in events]
+        for i, (a_start, a_end, a_event) in enumerate(intervals, start=1):
+            for b_start, b_end, b_event in intervals[i:]:
+                key = (a_event, b_event)
                 if key in pairs:
                     continue
                 if c.max_dura is not None:
-                    dura = max(a.end, b.end) - min(a.start, b.start)
+                    dura = max(a_end, b_end) - min(a_start, b_start)
                     if dura > c.max_dura:
                         continue
                 pairs.add(key)
@@ -186,7 +184,7 @@ def extend_vdb(
     events = prefix.events + (candidate,)
     by_sid: dict[int, list[PatternOccurrence]] = {}
     prefixes, candidates = prefix.by_sid, singleton.by_sid
-    left = len(prefixes.keys() & candidates.keys()) if threshold else 0
+    left = len(prefixes.keys() & candidates.keys())
     if left < threshold:
         return VerticalDatabase(events, by_sid)
     gap_reach = _UNBOUNDED if c.max_gap is None else max(c.max_gap, c.epsilon)
@@ -215,8 +213,7 @@ def extend_vdb(
                     sid, q.eid, min(start_t, q.start_t), max(end_t, q.end_t), rel, r))
         if rows:
             by_sid[sid] = rows
-        if threshold:
-            left -= 1
-            if len(by_sid) + left < threshold:
-                break
+        left -= 1
+        if len(by_sid) + left < threshold:
+            break
     return VerticalDatabase(events, by_sid)

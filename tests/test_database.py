@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from tirpmine import (
     serialize_database,
     sort_intervals,
 )
+
+from tirpmine.database import make_sequence
 
 from conftest import EXAMPLE_TEXT
 
@@ -68,6 +71,17 @@ def test_parse_errors_report_line(text, fragment):
 def test_error_names_offending_line_number():
     with pytest.raises(DatabaseError, match="line 3"):
         parse_database("1|A,0,5\n2|B,0,5\n3|A,9,4\n")
+
+
+def test_make_sequence_rejects_what_parse_rejects():
+    """Both ways of building a sequence run the same checks."""
+    for body, fragment in [("A,10,5", "end < start"), ("A,-1,5", "negative time"),
+                           ("A,0,5 A,0,5", "duplicate interval")]:
+        with pytest.raises(DatabaseError, match=fragment):
+            parse_database(f"1|{body}\n")
+        tokens = [tok.split(",") for tok in body.split()]
+        with pytest.raises(DatabaseError, match=fragment):
+            make_sequence(1, [SymbolicInterval(int(s), int(e), ev) for ev, s, e in tokens])
 
 
 class TestSortIntervals:
@@ -140,6 +154,15 @@ class TestGenerator:
         p = GeneratorParams(num_sequences=5, intervals_per_sequence=8,
                             alphabet_size=4, seed=42)
         assert generate_synthetic(p) == generate_synthetic(p)
+
+    def test_output_is_pinned(self):
+        """The digest was recorded from an earlier implementation, so any
+        change to the draw order or the serialised bytes shows here."""
+        p = GeneratorParams(num_sequences=30, intervals_per_sequence=12, alphabet_size=6,
+                            max_time=40, max_duration=8, seed=7)
+        text = serialize_database(generate_synthetic(p))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2e03652f5a3a4a164d96a80a49848ad68423d26dec1b0717f27cdc58fa874274")
 
     def test_shape(self):
         p = GeneratorParams(num_sequences=10, intervals_per_sequence=6,
