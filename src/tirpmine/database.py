@@ -34,9 +34,24 @@ class Database:
     def __len__(self) -> int:
         return len(self.sequences)
 
+    @functools.cached_property
+    def event_positions(self) -> dict[str, list[int]]:
+        """For each event, the ascending positions in ``sequences`` of the
+        sequences that hold it. Built on first use and kept with this
+        database; derived state, so equality and hashing ignore it."""
+        index: dict[str, list[int]] = {}
+        for pos, seq in enumerate(self.sequences):
+            for _, _, event in seq.intervals:
+                positions = index.get(event)
+                if positions is None:
+                    index[event] = [pos]
+                elif positions[-1] != pos:
+                    positions.append(pos)
+        return index
+
     @property
     def alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted({i.event for s in self.sequences for i in s.intervals}))
+        return tuple(sorted(self.event_positions))
 
 
 def sort_intervals(intervals, epsilon: int = 0) -> list[SymbolicInterval]:
@@ -82,9 +97,10 @@ def _validate(sid: int, intervals, line_no=None) -> None:
 def make_sequence(
     sid: int, intervals, epsilon: int = 0
 ) -> TimeIntervalSequence:
-    """Validate and sort raw intervals into a sequence."""
+    """Validate and sort raw intervals, any iterable of them, into a sequence."""
+    intervals = sort_intervals(intervals, epsilon)
     _validate(sid, intervals)
-    return TimeIntervalSequence(sid, tuple(sort_intervals(intervals, epsilon)))
+    return TimeIntervalSequence(sid, tuple(intervals))
 
 
 def parse_database(text: str, epsilon: int = 0) -> Database:

@@ -96,11 +96,19 @@ def contains_subsequence(events, qes) -> bool:
 
 
 def usfp_filter(db: Database, qes) -> Database:
-    """Keep only sequences whose event list contains qes as a subsequence."""
+    """Keep only sequences whose event list contains qes as a subsequence.
+
+    Only the sequences holding the query's rarest event are checked, read
+    from the database's event index in database order, so the result keeps
+    the database's order."""
     qes = tuple(qes)
-    return Database(
-        tuple(s for s in db.sequences if contains_subsequence(s.events, qes))
-    )
+    if not qes:
+        raise ValueError("query event sequence must be nonempty")
+    index = db.event_positions
+    rarest = min((index.get(e, ()) for e in qes), key=len)
+    candidates = [db.sequences[pos] for pos in rarest]
+    kept = tuple(s for s in candidates if contains_subsequence(s.events, qes))
+    return db if len(kept) == len(db) else Database(kept)
 
 
 def post_filter(results, qes) -> list[STirpResult]:
@@ -190,7 +198,7 @@ def _mine_emissions(db: Database, qes, cfg: MiningConfig):
             return [], stats
 
     c = cfg.constraints
-    singletons = build_singleton_vdbs(working, c)
+    singletons = build_singleton_vdbs(working, c, threshold)
     sf = _frequent_events(singletons, threshold)
     if not sf:
         return [], stats

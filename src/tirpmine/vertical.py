@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import NamedTuple
 
 from .model import Constraints, _check_extension, duration_ok
@@ -65,6 +64,12 @@ class VerticalDatabase:
         first use and kept with this database."""
         return {sid: _suffix_minima(rows) for sid, rows in self.by_sid.items()}
 
+    @cached_property
+    def eids(self) -> dict[int, list[int]]:
+        """Per sequence, the rows' eids, ascending in a singleton database,
+        which a join bisects. Built on first use and kept with this database."""
+        return {sid: [r.eid for r in rows] for sid, rows in self.by_sid.items()}
+
     @property
     def rows(self) -> list[PatternOccurrence]:
         """All occurrences, grouped by sequence in insertion order."""
@@ -93,16 +98,24 @@ class PairSupportMatrix:
         return len(self._entries)
 
 
-def build_singleton_vdbs(db: Database, c: Constraints) -> dict[str, VerticalDatabase]:
-    """One vertical database per event type; intervals failing the duration
-    bounds are dropped."""
+def build_singleton_vdbs(db: Database, c: Constraints,
+                         threshold: float = 0) -> dict[str, VerticalDatabase]:
+    """One vertical database per event type with vertical support at least
+    ``threshold``; intervals failing the duration bounds are dropped.
+
+    Rows are made only for events that the database's event index puts in
+    at least ``threshold`` sequences, since the duration filter can only
+    lower that count."""
+    wanted = {e for e, positions in db.event_positions.items()
+              if len(positions) >= threshold}
     groups: dict[str, dict[int, list[PatternOccurrence]]] = {}
     for seq in db.sequences:
         for pos, (start, end, event) in enumerate(seq.intervals, start=1):
-            if duration_ok(end - start, c):
+            if event in wanted and duration_ok(end - start, c):
                 groups.setdefault(event, {}).setdefault(seq.sid, []).append(
                     PatternOccurrence(seq.sid, pos, start, end))
-    return {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()}
+    return {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()
+            if len(by_sid) >= threshold}
 
 
 def build_psm(db: Database, c: Constraints,
@@ -141,7 +154,6 @@ def build_psm(db: Database, c: Constraints,
     return PairSupportMatrix(counts)
 
 
-_eid = attrgetter("eid")
 _UNBOUNDED = float("inf")
 
 
@@ -189,28 +201,31 @@ def extend_vdb(
         return VerticalDatabase(events, by_sid)
     gap_reach = _UNBOUNDED if c.max_gap is None else max(c.max_gap, c.epsilon)
     dura_reach = _UNBOUNDED if c.max_dura is None else c.max_dura
-    min_starts = singleton.min_starts
+    min_starts, eids = singleton.min_starts, singleton.eids
     for sid, prefix_rows in prefixes.items():
         qrows = candidates.get(sid)
         if qrows is None:
             continue
-        minima = min_starts[sid]
+        minima, q_eids = min_starts[sid], eids[sid]
         n = len(qrows)
         rows = []
+        # Rows are unpacked once: each read of a named tuple's field by
+        # name is a descriptor call.
         for r in prefix_rows:
-            start_t, end_t = r.start_t, r.end_t
+            _, eid, start_t, end_t, _, _ = r
             limit = end_t + gap_reach
             if start_t + dura_reach < limit:
                 limit = start_t + dura_reach
-            lo = bisect_right(qrows, r.eid, key=_eid)
+            lo = bisect_right(q_eids, eid)
             if lo == n or minima[lo] > limit:
                 continue
-            for q in qrows[lo:bisect_right(minima, limit, lo + 1)]:
-                rel = _check_extension(start_t, end_t, q.start_t, q.end_t, c)
+            hi = bisect_right(minima, limit, lo + 1)
+            for _, q_eid, q_start, q_end, _, _ in qrows[lo:hi]:
+                rel = _check_extension(start_t, end_t, q_start, q_end, c)
                 if rel is None:
                     continue
                 rows.append(PatternOccurrence(
-                    sid, q.eid, min(start_t, q.start_t), max(end_t, q.end_t), rel, r))
+                    sid, q_eid, min(start_t, q_start), max(end_t, q_end), rel, r))
         if rows:
             by_sid[sid] = rows
         left -= 1

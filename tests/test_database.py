@@ -84,6 +84,27 @@ def test_make_sequence_rejects_what_parse_rejects():
             make_sequence(1, [SymbolicInterval(int(s), int(e), ev) for ev, s, e in tokens])
 
 
+def test_make_sequence_reads_any_iterable_once():
+    """A generator or a one-shot iterator is sorted and validated, not
+    consumed by the check and then found empty."""
+    listed = make_sequence(1, [SymbolicInterval(s, s + 1, "A") for s in (2, 0, 1)])
+    assert [i.start for i in listed.intervals] == [0, 1, 2]
+    assert make_sequence(1, (SymbolicInterval(s, s + 1, "A") for s in (2, 0, 1))) == listed
+    assert make_sequence(1, iter(listed.intervals[::-1])) == listed
+    assert make_sequence(1, iter(listed.intervals), epsilon=1) == listed
+    with pytest.raises(DatabaseError, match="end < start"):
+        make_sequence(1, (SymbolicInterval(s, s + 1 - 2 * (s == 1), "A") for s in range(3)))
+    with pytest.raises(DatabaseError, match="duplicate interval"):
+        make_sequence(1, iter([SymbolicInterval(0, 1, "A")] * 2))
+
+
+def test_event_positions_list_the_sequences_holding_each_event():
+    db = parse_database(EXAMPLE_TEXT)
+    events = {i.event for s in db.sequences for i in s.intervals}
+    assert db.event_positions == {
+        e: [p for p, s in enumerate(db.sequences) if e in s.events] for e in events}
+
+
 class TestSortIntervals:
     def test_running_example_order(self):
         raw = [

@@ -27,6 +27,7 @@ from conftest import (
     EXAMPLE_MINSUP,
     EXAMPLE_PATTERNS,
     EXAMPLE_QES,
+    EXAMPLE_TEXT,
     random_trial,
 )
 
@@ -64,6 +65,30 @@ class TestUsfpFilter:
 
     def test_universal_event_keeps_all(self, example_db):
         assert usfp_filter(example_db, ("A",)) == example_db
+
+    def test_event_index_leaves_equality_and_hash(self, example_db):
+        fresh = parse_database(EXAMPLE_TEXT)
+        kept = usfp_filter(example_db, ("A",))
+        assert "event_positions" in vars(example_db)
+        assert "event_positions" not in vars(fresh)
+        assert kept == example_db == fresh
+        assert hash(kept) == hash(example_db) == hash(fresh)
+
+    def test_empty_database(self):
+        assert usfp_filter(Database(()), ("A",)) == Database(())
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_brute_scan_on_random_dbs(self, seed):
+        """The indexed filter keeps exactly the sequences, in the same order,
+        that a scan of every sequence keeps."""
+        db, _constraints, _min_sup, qes = random_trial(seed, epsilon=seed % 3)
+        alphabet = db.alphabet
+        queries = [qes, qes[:1], (qes[0], qes[0]), alphabet[::-1], alphabet[:3],
+                   ("Z",), (alphabet[0], "Z")]
+        queries += [(e,) for e in alphabet]
+        for q in queries:
+            expected = [s for s in db.sequences if contains_subsequence(s.events, q)]
+            assert list(usfp_filter(db, q).sequences) == expected
 
 
 class TestMine:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -46,6 +47,24 @@ class TestSingletonVdbs:
                 assert r.relations == ()
                 assert r.sources == (r.eid,)
                 assert r.start_t <= r.end_t
+
+
+def test_singletons_at_a_threshold_are_the_frequent_ones():
+    """Given a threshold, exactly the singleton databases with that vertical
+    support are built, although the index count they are screened by ignores
+    the duration filter."""
+    screened_by_duration = 0
+    for seed in range(30):
+        db, c, min_sup, _qes = random_trial(seed, epsilon=seed % 3)
+        c = replace(c, min_dura=1, max_dura=4)
+        full = build_singleton_vdbs(db, c)
+        for t in (0, 1, 2, 3, min_sup * len(db), len(db), len(db) + 1):
+            assert build_singleton_vdbs(db, c, t) == {
+                e: v for e, v in full.items() if v.vertical_support() >= t}
+            screened_by_duration += sum(
+                1 for e, positions in db.event_positions.items()
+                if len(positions) >= t > (full[e].vertical_support() if e in full else 0))
+    assert screened_by_duration > 0  # the count is a strict upper bound somewhere
 
 
 class TestPsm:
