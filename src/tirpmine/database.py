@@ -76,7 +76,7 @@ def sort_intervals(intervals, epsilon: int = 0) -> list[SymbolicInterval]:
     return sorted(intervals, key=functools.cmp_to_key(cmp))
 
 
-def _validate(sid: int, intervals, line_no=None) -> None:
+def _validate(sid: int, intervals, line_no: int | None) -> None:
     """Reject an end before its start, a negative time or a duplicate interval."""
     seen = set()
     for i in intervals:
@@ -95,11 +95,13 @@ def _validate(sid: int, intervals, line_no=None) -> None:
 
 
 def make_sequence(
-    sid: int, intervals, epsilon: int = 0
+    sid: int, intervals, epsilon: int = 0, line_no: int | None = None
 ) -> TimeIntervalSequence:
-    """Validate and sort raw intervals, any iterable of them, into a sequence."""
+    """Sort and validate raw intervals, any iterable of them, into a
+    sequence. An error names ``line_no`` if given and, of several invalid
+    intervals, the first in sorted order."""
     intervals = sort_intervals(intervals, epsilon)
-    _validate(sid, intervals)
+    _validate(sid, intervals, line_no)
     return TimeIntervalSequence(sid, tuple(intervals))
 
 
@@ -136,8 +138,7 @@ def parse_database(text: str, epsilon: int = 0) -> Database:
                     f"line {line_no}: non-integer timestamp in {tok!r}"
                 ) from None
             intervals.append(SymbolicInterval(start, end, event))
-        _validate(sid, intervals, line_no)
-        sequences.append(TimeIntervalSequence(sid, tuple(sort_intervals(intervals, epsilon))))
+        sequences.append(make_sequence(sid, intervals, epsilon, line_no))
     return Database(tuple(sequences))
 
 
@@ -184,5 +185,5 @@ def generate_synthetic(p: GeneratorParams) -> Database:
             start = rng.randrange(p.max_time)
             end = start + rng.randint(1, p.max_duration)
             chosen.add(SymbolicInterval(start, end, rng.choice(alphabet)))
-        sequences.append(TimeIntervalSequence(sid, tuple(sort_intervals(chosen))))
+        sequences.append(make_sequence(sid, chosen))
     return Database(tuple(sequences))

@@ -12,14 +12,15 @@ search space:
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from operator import itemgetter
 
 from .model import Constraints
 from .database import Database
 from .vertical import (
-    PairSupportMatrix,
-    VerticalDatabase,
     build_psm,
     build_singleton_vdbs,
     extend_vdb,
@@ -49,7 +50,6 @@ class MiningConfig:
     max_pattern_length: int | None = None
     strategies: StrategyFlags = StrategyFlags()
     mode: str = MODE_TARGETED
-    collect_instances: bool = False
     threads: int = 1
 
     def __post_init__(self):
@@ -68,7 +68,6 @@ class STirpResult:
     events: tuple[str, ...]
     vsup: int
     supporting_sids: tuple[int, ...]
-    instances: tuple[tuple[int, str], ...] | None = None
 
 
 @dataclass
@@ -107,7 +106,8 @@ def usfp_filter(db: Database, qes) -> Database:
     index = db.event_positions
     rarest = min((index.get(e, ()) for e in qes), key=len)
     candidates = [db.sequences[pos] for pos in rarest]
-    kept = tuple(s for s in candidates if contains_subsequence(s.events, qes))
+    kept = tuple(s for s in candidates
+                 if contains_subsequence(map(itemgetter(2), s.intervals), qes))
     return db if len(kept) == len(db) else Database(kept)
 
 
@@ -115,18 +115,6 @@ def post_filter(results, qes) -> list[STirpResult]:
     """Restrict full-mining output to patterns containing the query."""
     qes = tuple(qes)
     return [r for r in results if contains_subsequence(r.events, qes)]
-
-
-def _result_from_vdb(vdb: VerticalDatabase, collect_instances: bool) -> STirpResult:
-    instances = None
-    if collect_instances:
-        instances = tuple((r.sid, "".join(r.relations)) for r in vdb.rows)
-    return STirpResult(
-        events=vdb.events,
-        vsup=vdb.vertical_support(),
-        supporting_sids=tuple(vdb.supporting_sids()),
-        instances=instances,
-    )
 
 
 def _search(qes, sf, singletons, psm, threshold, cfg, stats) -> list[STirpResult]:
@@ -160,7 +148,8 @@ def _search(qes, sf, singletons, psm, threshold, cfg, stats) -> list[STirpResult
         if match < len(qes) and last == qes[match]:
             match += 1
         if match == len(qes):
-            emissions.append(_result_from_vdb(prefix, cfg.collect_instances))
+            emissions.append(STirpResult(prefix.events, prefix.vertical_support(),
+                                         tuple(prefix.supporting_sids())))
         elif flags.uqpp and psm.support(last, qes[match]) < threshold:
             stats.pruned_uqpp += 1
             continue
@@ -169,13 +158,11 @@ def _search(qes, sf, singletons, psm, threshold, cfg, stats) -> list[STirpResult
     return emissions
 
 
-def _frequent_events(singletons, threshold) -> list[str]:
-    """Frequent single events, most frequent first. The output set of the
-    miner does not depend on this order; only traversal order does."""
-    return sorted(
-        (e for e, v in singletons.items() if v.vertical_support() >= threshold),
-        key=lambda e: (-singletons[e].vertical_support(), e),
-    )
+def _frequent_events(singletons) -> list[str]:
+    """The events of the frequent singletons, most frequent first. The
+    output set of the miner does not depend on this order; only traversal
+    order does."""
+    return sorted(singletons, key=lambda e: (-singletons[e].vertical_support(), e))
 
 
 def _mine_emissions(db: Database, qes, cfg: MiningConfig):
@@ -186,9 +173,10 @@ def _mine_emissions(db: Database, qes, cfg: MiningConfig):
         qes = tuple(qes) if qes is not None else ()
         if not qes:
             raise ValueError("query event sequence required in targeted/full-post modes")
-    if len(db) == 0:
-        return [], stats
-    threshold = cfg.min_sup * len(db)
+    # The least integer support that is at least min_sup * |DB|, with
+    # min_sup read as the decimal it prints as: in floats 0.07 * 100 is
+    # 7.000000000000001, which would drop a pattern held by exactly 7.
+    threshold = math.ceil(Fraction(str(cfg.min_sup)) * len(db))
 
     working = db
     if targeted and cfg.strategies.usfp:
@@ -199,7 +187,7 @@ def _mine_emissions(db: Database, qes, cfg: MiningConfig):
 
     c = cfg.constraints
     singletons = build_singleton_vdbs(working, c, threshold)
-    sf = _frequent_events(singletons, threshold)
+    sf = _frequent_events(singletons)
     if not sf:
         return [], stats
     # The search reads the matrix only at (frequent, frequent) and
@@ -231,19 +219,20 @@ def mine(db: Database, qes, cfg: MiningConfig):
     return results, stats
 
 
+# Benchmark variant presets differing in mode and strategy toggles.
+_PRESETS = {
+    "fasttirp": (MODE_FULL, StrategyFlags(usfp=False, uqpp=False, uepp=True)),
+    "fasttirp-post": (MODE_FULL_POST, StrategyFlags(usfp=False, uqpp=False, uepp=True)),
+    "tatirp1": (MODE_TARGETED, StrategyFlags(usfp=True, uqpp=False, uepp=True)),
+    "tatirp2": (MODE_TARGETED, StrategyFlags(usfp=False, uqpp=True, uepp=True)),
+    "tatirp12": (MODE_TARGETED, StrategyFlags(usfp=True, uqpp=True, uepp=True)),
+}
+VARIANTS = tuple(_PRESETS)
+
+
 def config_for_variant(name: str, base: MiningConfig) -> MiningConfig:
-    """Benchmark variant presets differing in mode and strategy toggles."""
-    presets = {
-        "fasttirp": (MODE_FULL, StrategyFlags(usfp=False, uqpp=False, uepp=True)),
-        "fasttirp-post": (MODE_FULL_POST, StrategyFlags(usfp=False, uqpp=False, uepp=True)),
-        "tatirp1": (MODE_TARGETED, StrategyFlags(usfp=True, uqpp=False, uepp=True)),
-        "tatirp2": (MODE_TARGETED, StrategyFlags(usfp=False, uqpp=True, uepp=True)),
-        "tatirp12": (MODE_TARGETED, StrategyFlags(usfp=True, uqpp=True, uepp=True)),
-    }
-    if name not in presets:
+    """``base`` with the mode and strategy toggles of a benchmark variant."""
+    if name not in _PRESETS:
         raise ValueError(f"unknown variant {name!r}")
-    mode, flags = presets[name]
+    mode, flags = _PRESETS[name]
     return replace(base, mode=mode, strategies=flags)
-
-
-VARIANTS = ("fasttirp", "fasttirp-post", "tatirp1", "tatirp2", "tatirp12")

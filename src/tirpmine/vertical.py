@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .model import Constraints, _check_extension, duration_ok
@@ -58,17 +59,14 @@ class VerticalDatabase:
     by_sid: dict[int, list[PatternOccurrence]]
 
     @cached_property
-    def min_starts(self) -> dict[int, list[int]]:
-        """Per sequence, the suffix minima of the rows' start times:
-        entry ``i`` is the least ``start_t`` of rows ``i`` onward. Built on
-        first use and kept with this database."""
-        return {sid: _suffix_minima(rows) for sid, rows in self.by_sid.items()}
-
-    @cached_property
-    def eids(self) -> dict[int, list[int]]:
+    def join_view(self) -> dict[int, tuple[list[int], list[int]]]:
         """Per sequence, the rows' eids, ascending in a singleton database,
-        which a join bisects. Built on first use and kept with this database."""
-        return {sid: [r.eid for r in rows] for sid, rows in self.by_sid.items()}
+        which a join bisects, and the suffix minima of the rows' start
+        times: entry ``i`` of the minima is the least ``start_t`` of rows
+        ``i`` onward. Built on first use and kept with this database."""
+        return {sid: ([r.eid for r in rows],
+                      list(accumulate(reversed([r.start_t for r in rows]), min))[::-1])
+                for sid, rows in self.by_sid.items()}
 
     @property
     def rows(self) -> list[PatternOccurrence]:
@@ -157,14 +155,6 @@ def build_psm(db: Database, c: Constraints,
 _UNBOUNDED = float("inf")
 
 
-def _suffix_minima(rows: list[PatternOccurrence]) -> list[int]:
-    minima = [r.start_t for r in rows]
-    for i in range(len(minima) - 2, -1, -1):
-        if minima[i + 1] < minima[i]:
-            minima[i] = minima[i + 1]
-    return minima
-
-
 def extend_vdb(
     prefix: VerticalDatabase,
     candidate: str,
@@ -201,12 +191,13 @@ def extend_vdb(
         return VerticalDatabase(events, by_sid)
     gap_reach = _UNBOUNDED if c.max_gap is None else max(c.max_gap, c.epsilon)
     dura_reach = _UNBOUNDED if c.max_dura is None else c.max_dura
-    min_starts, eids = singleton.min_starts, singleton.eids
+    view = singleton.join_view
     for sid, prefix_rows in prefixes.items():
-        qrows = candidates.get(sid)
-        if qrows is None:
+        entry = view.get(sid)
+        if entry is None:
             continue
-        minima, q_eids = min_starts[sid], eids[sid]
+        q_eids, minima = entry
+        qrows = candidates[sid]
         n = len(qrows)
         rows = []
         # Rows are unpacked once: each read of a named tuple's field by

@@ -67,6 +67,14 @@ def test_min_sup_out_of_range_fails(example_file, tmp_path, capsys):
     assert "min_sup" in capsys.readouterr().err
 
 
+def test_support_at_the_threshold_is_printed(tmp_path, capsys):
+    # 7 of 100 sequences hold A, and 0.07 * 100 is 7.000000000000001 in floats.
+    db = tmp_path / "seven.db"
+    db.write_text("".join(f"{sid}|{'A' if sid <= 7 else 'B'},0,1\n" for sid in range(1, 101)))
+    assert main(["mine", "--input", str(db), "--qes", "A", "--min-sup", "0.07"]) == 0
+    assert capsys.readouterr().out == "A\t7\t1,2,3,4,5,6,7\n"
+
+
 def test_zero_threads_fails(example_file, capsys):
     code = main(["mine", "--input", str(example_file), *MINE_FLAGS, "--threads", "0"])
     assert code == 2

@@ -119,15 +119,18 @@ class TestMine:
         assert post_filter(full, EXAMPLE_QES) == targeted
         assert len(full) > len(targeted)
 
-    def test_instances_collected_on_request(self, example_db, example_cfg):
-        results, _ = mine(example_db, EXAMPLE_QES,
-                          replace(example_cfg, collect_instances=True))
-        by_events = {r.events: r for r in results}
-        ac = by_events[("A", "C")]
-        assert ac.instances is not None
-        assert len(ac.instances) >= ac.vsup
-        for _sid, rels in ac.instances:
-            assert len(rels) == 1
+    @pytest.mark.parametrize("min_sup, size, holders",
+                             [(0.07, 100, 7), (0.14, 50, 7), (0.55, 100, 55)])
+    def test_support_at_the_threshold_is_frequent(self, min_sup, size, holders):
+        """A pattern held by exactly min_sup * |DB| sequences is frequent,
+        also where that product overshoots in floats (0.07 * 100 is
+        7.000000000000001), and one held by a sequence fewer is not."""
+        for held in (holders, holders - 1):
+            db = parse_database("".join(f"{sid}|{'A' if sid <= held else 'B'},0,1\n"
+                                        for sid in range(1, size + 1)))
+            results, _ = mine(db, ("A",), MiningConfig(min_sup=min_sup))
+            expected = [(("A",), holders)] if held == holders else []
+            assert [(r.events, r.vsup) for r in results] == expected
 
     def test_missing_query_rejected(self, example_db, example_cfg):
         with pytest.raises(ValueError, match="query"):
@@ -194,8 +197,8 @@ def test_seed_order_does_not_change_output(example_db, example_cfg, monkeypatch)
     baseline, _ = mine(example_db, EXAMPLE_QES, example_cfg)
     original = _frequent_events
 
-    def reversed_order(singletons, threshold):
-        return list(reversed(original(singletons, threshold)))
+    def reversed_order(singletons):
+        return list(reversed(original(singletons)))
 
     monkeypatch.setattr("tirpmine.miner._frequent_events", reversed_order)
     permuted, _ = mine(example_db, EXAMPLE_QES, example_cfg)
