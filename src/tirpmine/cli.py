@@ -111,6 +111,10 @@ def _parse_qes(args) -> tuple[str, ...] | None:
     qes = tuple(e for e in args.qes.split(",") if e)
     if not qes:
         raise ValueError("--qes must name at least one event")
+    for e in qes:
+        if e.split() != [e]:
+            raise ValueError(f"--qes event {e!r} contains whitespace, "
+                             "which no event name in a database file can hold")
     return qes
 
 

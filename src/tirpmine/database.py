@@ -49,9 +49,59 @@ class Database:
                     positions.append(pos)
         return index
 
+    @functools.cached_property
+    def event_masks(self) -> dict[str, int]:
+        """For each event held by at least 1/64 of the sequences, its
+        ``event_positions`` as a bitmask: bit ``p`` is set when the sequence
+        at position ``p`` holds the event. A mask takes len(self)/8 bytes,
+        no more than the 8 bytes per entry of the position list it
+        summarises, so the masks stay within the index's own size on any
+        input. Built on first use and kept, like the index."""
+        n = len(self)
+        return {event: _bitmask(positions, n)
+                for event, positions in self.event_positions.items()
+                if len(positions) * 64 >= n}
+
+    @functools.cached_property
+    def event_support(self) -> dict[str, int]:
+        """For each event, the number of sequences that hold it. A database
+        made by ``restrict`` may arrive with this already counted."""
+        return {event: len(positions) for event, positions in self.event_positions.items()}
+
+    def restrict(self, positions) -> Database:
+        """The database of the sequences at ``positions``, ascending. When
+        every event of this database has a mask, the result's
+        ``event_support`` is counted by ANDing each mask with the kept
+        positions' mask, so it needs no index of its own; otherwise it
+        builds one over the kept sequences when first read."""
+        if len(positions) == len(self):
+            return self
+        restricted = Database(tuple(self.sequences[p] for p in positions))
+        masks = self.event_masks
+        if len(masks) == len(self.event_positions):
+            kept_mask = _bitmask(positions, len(self))
+            support = {}
+            for event, mask in masks.items():
+                count = (mask & kept_mask).bit_count()
+                if count:
+                    support[event] = count
+            vars(restricted)["event_support"] = support  # fills the cached property
+        return restricted
+
     @property
     def alphabet(self) -> tuple[str, ...]:
         return tuple(sorted(self.event_positions))
+
+
+def _bitmask(positions, size: int) -> int:
+    """The int with bit ``p`` set for each ``p`` in ``positions``, all below
+    ``size`` (> 0). It is read from its binary digits, which takes about
+    half the time of setting bits one byte at a time."""
+    digits = bytearray(b"0") * size
+    for p in positions:
+        digits[p] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
 
 
 def sort_intervals(intervals, epsilon: int = 0) -> list[SymbolicInterval]:
@@ -109,6 +159,11 @@ def parse_database(text: str, epsilon: int = 0) -> Database:
     """Parse the line-oriented database format, reporting line numbers on error."""
     sequences = []
     sids = set()
+    # One string per distinct event name, so that every per-interval probe
+    # of a dict or set keyed by events reads the same few objects. The
+    # table is local to this call: unlike sys.intern, it leaves nothing
+    # behind once the database is freed.
+    names: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -137,7 +192,7 @@ def parse_database(text: str, epsilon: int = 0) -> Database:
                 raise DatabaseError(
                     f"line {line_no}: non-integer timestamp in {tok!r}"
                 ) from None
-            intervals.append(SymbolicInterval(start, end, event))
+            intervals.append(SymbolicInterval(start, end, names.setdefault(event, event)))
         sequences.append(make_sequence(sid, intervals, epsilon, line_no))
     return Database(tuple(sequences))
 

@@ -99,16 +99,19 @@ def usfp_filter(db: Database, qes) -> Database:
 
     Only the sequences holding the query's rarest event are checked, read
     from the database's event index in database order, so the result keeps
-    the database's order."""
+    the database's order; a one-event query keeps them all unchecked. The
+    result is ``db.restrict`` of the kept positions, which counts its
+    per-event support from ``db``'s masks when every event has one."""
     qes = tuple(qes)
     if not qes:
         raise ValueError("query event sequence must be nonempty")
     index = db.event_positions
-    rarest = min((index.get(e, ()) for e in qes), key=len)
-    candidates = [db.sequences[pos] for pos in rarest]
-    kept = tuple(s for s in candidates
-                 if contains_subsequence(map(itemgetter(2), s.intervals), qes))
-    return db if len(kept) == len(db) else Database(kept)
+    kept = min((index.get(e, ()) for e in qes), key=len)
+    if len(qes) > 1:
+        sequences = db.sequences
+        kept = [pos for pos in kept
+                if contains_subsequence(map(itemgetter(2), sequences[pos].intervals), qes)]
+    return db.restrict(kept)
 
 
 def post_filter(results, qes) -> list[STirpResult]:

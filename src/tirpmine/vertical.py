@@ -101,11 +101,10 @@ def build_singleton_vdbs(db: Database, c: Constraints,
     """One vertical database per event type with vertical support at least
     ``threshold``; intervals failing the duration bounds are dropped.
 
-    Rows are made only for events that the database's event index puts in
-    at least ``threshold`` sequences, since the duration filter can only
-    lower that count."""
-    wanted = {e for e, positions in db.event_positions.items()
-              if len(positions) >= threshold}
+    Rows are made only for events that the database's ``event_support``
+    puts in at least ``threshold`` sequences, since the duration filter can
+    only lower that count."""
+    wanted = {e for e, support in db.event_support.items() if support >= threshold}
     groups: dict[str, dict[int, list[PatternOccurrence]]] = {}
     for seq in db.sequences:
         for pos, (start, end, event) in enumerate(seq.intervals, start=1):

@@ -75,6 +75,14 @@ def test_support_at_the_threshold_is_printed(tmp_path, capsys):
     assert capsys.readouterr().out == "A\t7\t1,2,3,4,5,6,7\n"
 
 
+def test_query_event_with_whitespace_fails(example_file, capsys):
+    # No event name in a database file can hold whitespace, so such a query
+    # would silently match nothing.
+    code = main(["mine", "--input", str(example_file), "--qes", "A, C", "--min-sup", "0.4"])
+    assert code == 2
+    assert "' C'" in capsys.readouterr().err
+
+
 def test_zero_threads_fails(example_file, capsys):
     code = main(["mine", "--input", str(example_file), *MINE_FLAGS, "--threads", "0"])
     assert code == 2

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from tirpmine import (
     Constraints,
+    Database,
     DatabaseError,
     GeneratorParams,
     MiningConfig,
@@ -103,6 +105,74 @@ def test_event_positions_list_the_sequences_holding_each_event():
     events = {i.event for s in db.sequences for i in s.intervals}
     assert db.event_positions == {
         e: [p for p, s in enumerate(db.sequences) if e in s.events] for e in events}
+
+
+def test_event_masks_are_the_positions_as_bits():
+    db = parse_database(EXAMPLE_TEXT)
+    assert db.event_masks == {
+        e: sum(1 << p for p in positions) for e, positions in db.event_positions.items()}
+
+
+@pytest.mark.parametrize("size, masked", [(64, True), (65, False)])
+def test_an_event_in_one_sequence_has_a_mask_up_to_64_sequences(size, masked):
+    db = parse_database("".join(f"{sid}|{'A' if sid == 1 else 'B'},0,1\n"
+                                for sid in range(1, size + 1)))
+    assert ("A" in db.event_masks) == masked
+    assert "B" in db.event_masks
+
+
+def _own_and_shared(n):
+    """``n`` sequences, each holding an event of its own and one shared event."""
+    return parse_database("".join(f"{sid}|own{sid},0,1 shared,2,3\n"
+                                  for sid in range(1, n + 1)))
+
+
+def test_event_masks_only_for_events_held_by_a_64th_of_the_sequences():
+    # A mask per event would take 20,001 x 2.5 kB.
+    n = 20_000
+    db = _own_and_shared(n)
+    tracemalloc.start()
+    try:
+        db.event_positions
+        masks = db.event_masks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks == {"shared": (1 << n) - 1}
+    assert peak < 5_000_000
+
+
+def test_restrict_with_every_event_masked_carries_support():
+    db = parse_database(EXAMPLE_TEXT)
+    assert set(db.event_masks) == set(db.event_positions)
+    kept = db.restrict([0, 2])
+    assert "event_support" in vars(kept)
+    assert kept.event_support == {
+        e: len(p) for e, p in Database(kept.sequences).event_positions.items()}
+    assert "event_positions" not in vars(kept)
+    assert db.restrict(range(len(db))) is db
+
+
+@pytest.mark.parametrize("positions", [[6], range(0, 20_000, 2)])
+def test_restrict_with_an_unmasked_event_counts_the_kept_sequences(positions):
+    # 20,000 of the 20,001 events have no mask, so the kept sequences'
+    # support comes from their own index, never from a walk of the full
+    # database's position lists.
+    db = _own_and_shared(20_000)
+    kept = db.restrict(positions)
+    assert "event_support" not in vars(kept)
+    assert kept.event_support == {
+        "shared": len(positions), **{f"own{p + 1}": 1 for p in positions}}
+
+
+def test_parse_keeps_one_string_per_event_name():
+    text = "".join(f"{sid}|ev{sid % 3},0,1 ev{sid % 5},2,3 ev{sid % 3},4,5\n"
+                   for sid in range(1, 31))
+    db, other = parse_database(text), parse_database(text)
+    names = {id(i.event) for s in db.sequences for i in s.intervals}
+    assert len(names) == len(db.alphabet) == 5
+    # Two parses share no name table.
+    assert names.isdisjoint(id(i.event) for s in other.sequences for i in s.intervals)
 
 
 class TestSortIntervals:

@@ -12,6 +12,8 @@ from tirpmine import (
     GeneratorParams,
     MiningConfig,
     StrategyFlags,
+    SymbolicInterval,
+    build_singleton_vdbs,
     config_for_variant,
     contains_subsequence,
     generate_synthetic,
@@ -20,6 +22,7 @@ from tirpmine import (
     post_filter,
     usfp_filter,
 )
+from tirpmine.database import make_sequence
 from tirpmine.miner import _frequent_events, _mine_emissions
 
 from conftest import (
@@ -89,6 +92,39 @@ class TestUsfpFilter:
         for q in queries:
             expected = [s for s in db.sequences if contains_subsequence(s.events, q)]
             assert list(usfp_filter(db, q).sequences) == expected
+
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_carried_support_matches_a_fresh_index(self, seed):
+        """The filtered database's per-event support, counted from the
+        full database's masks, equals a count over the kept sequences
+        alone, and so does the singleton screen reading it, which builds no
+        index of its own. A database with an unmasked event leaves the
+        count to the kept sequences' own index."""
+        db, constraints, _min_sup, qes = random_trial(seed, epsilon=seed % 3)
+        # Padded to 65 times its size, the database holds each random event
+        # in fewer than 1/64 of its sequences, so those events have no mask.
+        padded = Database(db.sequences + tuple(
+            make_sequence(sid, [SymbolicInterval(0, 1, "P")])
+            for sid in range(100, 100 + 64 * len(db))))
+        assert set(padded.event_masks) == {"P"}
+        assert set(db.event_masks) == set(db.alphabet)
+        alphabet = db.alphabet
+        queries = [qes, qes[:1], alphabet[::-1], alphabet[:3], ("Z",), ("P",)]
+        queries += [(e,) for e in alphabet]
+        for full in (db, padded):
+            for q in queries:
+                kept = usfp_filter(full, q)
+                carried = "event_support" in vars(kept)
+                if kept is not full:
+                    assert carried == (full is db)
+                fresh = Database(kept.sequences)
+                assert kept.event_support == {
+                    e: len(positions) for e, positions in fresh.event_positions.items()}
+                for threshold in range(4):
+                    assert (build_singleton_vdbs(kept, constraints, threshold)
+                            == build_singleton_vdbs(fresh, constraints, threshold))
+                assert kept is full or not carried or "event_positions" not in vars(kept)
 
 
 class TestMine:
