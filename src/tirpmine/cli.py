@@ -167,6 +167,8 @@ def _cmd_mine(args) -> int:
 def _cmd_bench(args) -> int:
     qes = _parse_qes(args)
     names = [v for v in args.variants.split(",") if v]
+    if not names:
+        raise ValueError("--variants must name at least one variant")
     for name in names:
         if name not in VARIANTS:
             raise ValueError(f"unknown variant {name!r} in --variants")

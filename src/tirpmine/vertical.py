@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .model import Constraints, _check_extension, duration_ok
@@ -128,24 +128,39 @@ def build_psm(db: Database, c: Constraints,
     sequence is cut to their intervals before pairing. The scope is exact
     for every pair it keeps, since the cut removes no interval of either
     event; pairs outside it read as 0.
+
+    A sequence's set of pairs is formed one of two ways. When the span of
+    its scoped intervals, their greatest end less their least start, fits
+    max_dura, the set is every ``(earlier event, later event)`` pair in
+    position order, built in C: a pair's merged duration never exceeds the
+    span, so every pair fits. The least start is taken, not the first,
+    because at epsilon > 0 starts in position order can fall. Otherwise
+    each interval pair is checked against max_dura in turn.
     """
     counts: dict[tuple[str, str], int] = {}
     for seq in db.sequences:
-        pairs: set[tuple[str, str]] = set()
-        # As plain tuples: the pair loop unpacks each one many times, which
-        # costs several times less for a plain tuple than for a named one.
-        intervals = [tuple(iv) for iv in seq.intervals
-                     if events is None or iv.event in events]
-        for i, (a_start, a_end, a_event) in enumerate(intervals, start=1):
-            for b_start, b_end, b_event in intervals[i:]:
-                key = (a_event, b_event)
-                if key in pairs:
-                    continue
-                if c.max_dura is not None:
-                    dura = max(a_end, b_end) - min(a_start, b_start)
-                    if dura > c.max_dura:
+        scoped = [iv for iv in seq.intervals if events is None or iv.event in events]
+        if len(scoped) < 2:
+            continue
+        starts, ends, names = zip(*scoped)
+        if c.max_dura is None or max(ends) - min(starts) <= c.max_dura:
+            # Fed straight from the iterator, so memory is bounded by the
+            # distinct pairs, not by the n(n-1)/2 interval pairs.
+            pairs = set(combinations(names, 2))
+        else:
+            pairs = set()
+            # As plain tuples: the pair loop unpacks each one many times,
+            # which costs several times less for a plain tuple than for a
+            # named one.
+            intervals = list(zip(starts, ends, names))
+            for i, (a_start, a_end, a_event) in enumerate(intervals, start=1):
+                for b_start, b_end, b_event in intervals[i:]:
+                    key = (a_event, b_event)
+                    if key in pairs:
                         continue
-                pairs.add(key)
+                    if max(a_end, b_end) - min(a_start, b_start) > c.max_dura:
+                        continue
+                    pairs.add(key)
         for key in pairs:
             counts[key] = counts.get(key, 0) + 1
     return PairSupportMatrix(counts)

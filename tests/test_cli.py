@@ -183,6 +183,15 @@ def test_bench_unknown_variant(example_file, capsys):
     assert "--variants" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variants", [",", ""])
+def test_bench_no_variant(example_file, capsys, variants):
+    # An empty list would print only the table header and compare nothing.
+    code = main(["bench", "--input", str(example_file), *MINE_FLAGS,
+                 "--variants", variants])
+    assert code == 2
+    assert "--variants" in capsys.readouterr().err
+
+
 class TestGen:
     def test_more_intervals_than_distinct_ones_fails(self, capsys):
         # 1 time x 1 duration x 1 event allows one distinct interval, not 5

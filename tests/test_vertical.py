@@ -115,6 +115,85 @@ class TestPsm:
             binding += len(full) < len(build_psm(db, Constraints(epsilon=epsilon)))
         assert binding > 0  # max_dura drops pairs in some databases
 
+    def test_least_start_not_first_bounds_the_span(self):
+        # At epsilon 1 this sorts to C, A, B, D, E: the least start (B's 4)
+        # is not the first (C's 6), and the span 20 - 4 exceeds max_dura.
+        db = parse_database("1|A,5,10 B,4,20 C,6,8 D,7,9 E,8,9\n", epsilon=1)
+        assert [iv.event for iv in db.sequences[0].intervals] == list("CABDE")
+        psm = build_psm(db, Constraints(epsilon=1, max_dura=15))
+        assert psm.support("A", "B") == psm.support("C", "B") == 0
+        assert psm.support("C", "A") == 1
+
+    def test_repeated_event_counts_once_per_sequence(self):
+        db = parse_database("1|A,0,2 B,1,3 A,4,6 C,5,7 A,6,8 D,7,9\n2|A,0,2 A,3,5\n")
+        psm = build_psm(db, Constraints(max_dura=20))
+        assert psm.support("A", "A") == 2
+        assert psm.support("B", "A") == 1
+        assert psm.support("A", "B") == 1
+
+    def test_long_sequence_over_max_dura_keeps_fitting_pairs(self):
+        db = parse_database("1|A,0,2 B,3,5 C,6,8 D,20,22 E,23,25 F,26,28\n")
+        psm = build_psm(db, Constraints(max_dura=10))
+        assert set(psm._entries) == {("A", "B"), ("A", "C"), ("B", "C"),
+                                     ("D", "E"), ("D", "F"), ("E", "F")}
+        assert set(psm._entries.values()) == {1}
+
+
+def _brute_psm(db, max_dura, events):
+    """The pair support matrix from its definition: per sequence, the event
+    pairs of scoped intervals i < j whose merged duration fits max_dura,
+    counted once per sequence."""
+    counts = {}
+    for seq in db.sequences:
+        scoped = [iv for iv in seq.intervals if events is None or iv.event in events]
+        pairs = {(a.event, b.event)
+                 for i, a in enumerate(scoped) for b in scoped[i + 1:]
+                 if max_dura is None or max(a.end, b.end) - min(a.start, b.start) <= max_dura}
+        for pair in pairs:
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def test_psm_matches_brute_force():
+    # Per scoped sequence of two or more intervals: (length, span fits
+    # max_dura, the span from the first start would fit where the span
+    # from the least start does not).
+    seen = set()
+    repeated = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        epsilon = seed % 3
+        alphabet = "ABCDEF"[: rng.randint(2, 6)]
+        lines = []
+        for sid in range(1, rng.randint(3, 12) + 1):
+            chosen = set()
+            for _ in range(rng.choice([0, 1, 2, 3, 5, 9, 16])):
+                start = rng.randrange(0, rng.choice([15, 60]))
+                chosen.add((start, start + rng.randint(0, 12), rng.choice(alphabet)))
+            lines.append(f"{sid}|" + " ".join(f"{e},{s},{t}" for s, t, e in chosen))
+        db = parse_database("\n".join(lines) + "\n", epsilon=epsilon)
+        for max_dura in (None, *rng.sample(range(3, 30), 4), 1000):
+            c = Constraints(epsilon=epsilon, max_dura=max_dura)
+            scope = set(rng.sample(alphabet, rng.randint(1, len(alphabet))))
+            for events in (None, scope):
+                expected = _brute_psm(db, max_dura, events)
+                assert build_psm(db, c, events)._entries == expected
+                repeated += any(a == b for a, b in expected)
+                for seq in db.sequences:
+                    scoped = [iv for iv in seq.intervals
+                              if events is None or iv.event in events]
+                    if len(scoped) >= 2:
+                        end = max(iv.end for iv in scoped)
+                        fits = max_dura is None or end - min(iv.start for iv in scoped) <= max_dura
+                        seen.add((len(scoped), fits,
+                                  not fits and end - scoped[0].start <= max_dura))
+    assert repeated > 0
+    # Both ways of forming a sequence's pairs ran, on short and long
+    # sequences, and a span read from the first start would have misled.
+    for fits in (True, False):
+        assert {n for n, f, _ in seen if f == fits} >= {2, 3, 4, 5, 8, 12}
+    assert any(misled for _, _, misled in seen)
+
 
 class TestExtendVdb:
     def test_cb_row_in_s1(self, example_db):
