@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .model import SymbolicInterval, interval_precedes
 
@@ -50,6 +51,35 @@ class Database:
         return index
 
     @functools.cached_property
+    def sequence_by_sid(self) -> dict[int, TimeIntervalSequence]:
+        """Each sequence by its sid. Built on first use and kept, like the
+        event index."""
+        return {seq.sid: seq for seq in self.sequences}
+
+    def start_minima(self, sid: int) -> tuple[int, ...]:
+        """The ``suffix_minima`` of the starts of sequence ``sid``'s
+        intervals. They never decrease, so a scan can bisect them for the
+        end of a start-time window even at epsilon > 0, where starts in
+        interval order can fall.
+
+        Computed on first request and kept in a table by sid, which a
+        database made by ``restrict`` shares with the one it was made from,
+        so a sequence that many queries scan is computed once. The table is
+        kept here rather than on each sequence: caching an attribute on a
+        sequence gives it an instance dict, and thousands of those make
+        every full garbage collection of a large database markedly
+        slower."""
+        minima = self._start_minima.get(sid)
+        if minima is None:
+            minima = self._start_minima[sid] = suffix_minima(
+                [start for start, _, _ in self.sequence_by_sid[sid].intervals])
+        return minima
+
+    @functools.cached_property
+    def _start_minima(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    @functools.cached_property
     def event_masks(self) -> dict[str, int]:
         """For each event held by at least 1/64 of the sequences, its
         ``event_positions`` as a bitmask: bit ``p`` is set when the sequence
@@ -73,7 +103,8 @@ class Database:
         every event of this database has a mask, the result's
         ``event_support`` is counted by ANDing each mask with the kept
         positions' mask, so it needs no index of its own; otherwise it
-        builds one over the kept sequences when first read."""
+        builds one over the kept sequences when first read. The result
+        shares this database's table of ``start_minima``."""
         if len(positions) == len(self):
             return self
         restricted = Database(tuple(self.sequences[p] for p in positions))
@@ -86,11 +117,18 @@ class Database:
                 if count:
                     support[event] = count
             vars(restricted)["event_support"] = support  # fills the cached property
+        vars(restricted)["_start_minima"] = self._start_minima
         return restricted
 
     @property
     def alphabet(self) -> tuple[str, ...]:
         return tuple(sorted(self.event_positions))
+
+
+def suffix_minima(values) -> tuple[int, ...]:
+    """Entry ``i`` is the least of ``values[i:]``. A tuple of ints, which
+    the garbage collector stops tracking, unlike a list."""
+    return tuple(accumulate(reversed(values), min))[::-1]
 
 
 def _bitmask(positions, size: int) -> int:

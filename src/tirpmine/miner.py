@@ -20,9 +20,13 @@ from operator import itemgetter
 
 from .model import Constraints
 from .database import Database
-from .vertical import (
+# extend_vdb is not called here, but the benchmark's tracer wraps it by
+# name in this module, with usfp_filter, build_singleton_vdbs and
+# build_psm; without the name every traced query raises AttributeError.
+from .vertical import (  # noqa: F401
     build_psm,
     build_singleton_vdbs,
+    extend_prefix,
     extend_vdb,
 )
 
@@ -120,24 +124,34 @@ def post_filter(results, qes) -> list[STirpResult]:
     return [r for r in results if contains_subsequence(r.events, qes)]
 
 
-def _search(qes, sf, singletons, psm, threshold, cfg, stats) -> list[STirpResult]:
+def _search(qes, working, sf, singletons, psm, threshold, cfg, stats) -> list[STirpResult]:
     """Grow every frequent seed depth-first and return the emitted results.
 
-    The stack holds one generator of frequent children per level, so only
-    one child per level is alive and depth is not bounded by recursion. An
-    empty ``qes`` disables query tracking (full mining): every node matches.
+    The stack holds one generator of frequent children per level, and
+    depth is not bounded by recursion. A level's children are all joined
+    in one scan of the prefix's rows when the level is entered, and each is
+    dropped by its generator once yielded. An empty ``qes`` disables query
+    tracking (full mining): every node matches.
     """
     emissions: list[STirpResult] = []
     flags, c, max_len = cfg.strategies, cfg.constraints, cfg.max_pattern_length
 
     def children(prefix, last, match):
+        # A join is one (prefix, candidate) pair that extension pruning
+        # keeps, although all of a prefix's joins share one scan.
+        joined = []
         for f in sf:
             if flags.uepp and psm.support(last, f) < threshold:
                 stats.pruned_uepp += 1
                 continue
-            stats.join_operations += 1
-            ext = extend_vdb(prefix, f, singletons[f], c, threshold)
-            if ext.vertical_support() >= threshold:
+            joined.append(f)
+        if not joined:
+            return
+        stats.join_operations += len(joined)
+        exts = extend_prefix(prefix, joined, working, c, threshold)
+        for f in joined:
+            ext = exts.pop(f, None)
+            if ext is not None:
                 yield ext, match
 
     stack = [iter([(singletons[e], 0) for e in sf])]
@@ -170,6 +184,11 @@ def _frequent_events(singletons) -> list[str]:
 
 def _mine_emissions(db: Database, qes, cfg: MiningConfig):
     """Run the pipeline and return the emissions, in search order, and stats."""
+    if isinstance(qes, str):
+        # A string is a sequence of its characters: "e012" would query the
+        # events e, 0, 1 and 2.
+        raise ValueError(f"query event sequence must be a tuple of event names, "
+                         f"not the string {qes!r}")
     stats = MiningStats()
     targeted = cfg.mode == MODE_TARGETED
     if targeted or cfg.mode == MODE_FULL_POST:
@@ -199,7 +218,7 @@ def _mine_emissions(db: Database, qes, cfg: MiningConfig):
     search_qes = qes if targeted else ()
     psm = build_psm(working, c, set(sf).union(search_qes))
 
-    emissions = _search(search_qes, sf, singletons, psm, threshold, cfg, stats)
+    emissions = _search(search_qes, working, sf, singletons, psm, threshold, cfg, stats)
     return emissions, stats
 
 

@@ -12,21 +12,23 @@ occurrence keeps only its last step's relation and a link to the prefix
 occurrence it extends; its relations and source positions are read back
 through those links, so a new occurrence costs O(1) at any depth.
 
-A join reads only the candidate rows a prefix row can reach: those after it
-whose start lies within the gap and duration bounds of its envelope. Given a
-support threshold, it also returns at once when too few sequences are shared
-and stops once the sequences left cannot make it frequent.
+A prefix is grown by all its candidate events at once: ``extend_prefix``
+scans each prefix row's own sequence over the intervals the row can reach,
+those after it whose start lies within the gap and duration bounds of its
+envelope, and builds rows only for the candidates that reach the support
+threshold. ``extend_vdb`` joins a prefix with one candidate's singleton
+rows over the same window; it is the reference the scan is tested against.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 from .model import Constraints, _check_extension, duration_ok
-from .database import Database
+from .database import Database, suffix_minima
 
 
 class PatternOccurrence(NamedTuple):
@@ -64,8 +66,7 @@ class VerticalDatabase:
         which a join bisects, and the suffix minima of the rows' start
         times: entry ``i`` of the minima is the least ``start_t`` of rows
         ``i`` onward. Built on first use and kept with this database."""
-        return {sid: ([r.eid for r in rows],
-                      list(accumulate(reversed([r.start_t for r in rows]), min))[::-1])
+        return {sid: ([r.eid for r in rows], suffix_minima([r.start_t for r in rows]))
                 for sid, rows in self.by_sid.items()}
 
     @property
@@ -237,3 +238,83 @@ def extend_vdb(
         if len(by_sid) + left < threshold:
             break
     return VerticalDatabase(events, by_sid)
+
+
+def extend_prefix(
+    prefix: VerticalDatabase,
+    candidates,
+    db: Database,
+    c: Constraints,
+    threshold: float,
+) -> dict[str, VerticalDatabase]:
+    """Join the prefix pattern with every candidate event in one scan.
+
+    Returns, for each event in ``candidates`` whose extension holds at least
+    ``threshold`` sequences, the database ``extend_vdb`` returns for it with
+    that event's singleton database, row for row and in the same order.
+
+    Each prefix row is scanned in its own sequence of ``db``, the database
+    the prefix was mined from, from the position after its ``eid`` to the
+    end of the window ``extend_vdb`` reads: the scan stops past which every
+    start exceeds ``end_t + max(max_gap, epsilon)`` or
+    ``start_t + max_dura``, found by bisecting ``db.start_minima``. An
+    interval in the window is a candidate exactly when its event's
+    singleton database would hold it: its event is a candidate and its
+    duration is at least min_dura. (A duration over max_dura needs no check
+    here, since it makes every composite holding the interval too long.)
+
+    Hits are kept as plain tuples, and occurrences are made only for the
+    events that reach ``threshold``. Once an event's sequences found plus
+    the prefix's sequences left fall short of it, the event is dropped
+    from the scan with its hits, and the scan ends when none is left. An
+    event with no hit is never returned, whatever the threshold.
+    """
+    wanted = set(candidates)
+    min_dura = c.min_dura
+    gap_reach = _UNBOUNDED if c.max_gap is None else max(c.max_gap, c.epsilon)
+    dura_reach = _UNBOUNDED if c.max_dura is None else c.max_dura
+    hits: dict[str, dict[int, list[tuple]]] = {}
+    left, least = len(prefix.by_sid), 0
+    sequences, start_minima = db.sequence_by_sid, db.start_minima
+    for sid, prefix_rows in prefix.by_sid.items():
+        intervals, minima = sequences[sid].intervals, start_minima(sid)
+        n = len(intervals)
+        found: dict[str, list[tuple]] = {}
+        for r in prefix_rows:
+            _, eid, start_t, end_t, _, _ = r
+            limit = end_t + gap_reach
+            if start_t + dura_reach < limit:
+                limit = start_t + dura_reach
+            # Position eid + 1 is index eid.
+            if eid == n or minima[eid] > limit:
+                continue
+            hi = bisect_right(minima, limit, eid + 1)
+            for q_eid, (q_start, q_end, event) in enumerate(intervals[eid:hi], eid + 1):
+                if event not in wanted or q_end - q_start < min_dura:
+                    continue
+                rel = _check_extension(start_t, end_t, q_start, q_end, c)
+                if rel is None:
+                    continue
+                hit = (sid, q_eid, q_start if q_start < start_t else start_t,
+                       q_end if q_end > end_t else end_t, rel, r)
+                rows = found.get(event)
+                if rows is None:
+                    found[event] = [hit]
+                else:
+                    rows.append(hit)
+        for event, rows in found.items():
+            hits.setdefault(event, {})[sid] = rows
+        left -= 1
+        if least + left < threshold:
+            for event in [e for e in wanted if len(hits.get(e, ())) + left < threshold]:
+                wanted.discard(event)
+                hits.pop(event, None)
+            if not wanted:
+                break
+            least = min(len(hits[e]) for e in wanted)
+    # Every event still in hits has reached the threshold: after the last
+    # sequence, one short of it would have been dropped.
+    make = PatternOccurrence._make
+    return {event: VerticalDatabase(prefix.events + (event,),
+                                    {sid: list(map(make, rows)) for sid, rows in by_sid.items()})
+            for event, by_sid in hits.items()}

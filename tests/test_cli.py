@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +219,18 @@ class TestGen:
         out = tmp_path / "out.tsv"
         assert main(["mine", "--input", str(db_path), "--qes", "0",
                      "--min-sup", "0.2", "--output", str(out)]) == 0
+
+    def test_runs_as_a_module(self, tmp_path):
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        db_path = tmp_path / "gen.db"
+        done = subprocess.run(
+            [sys.executable, "-m", "tirpmine", "gen", "--sequences", "3", "--intervals", "4",
+             "--alphabet", "2", "--output", str(db_path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert len(db_path.read_text().splitlines()) == 3
 
     def test_zero_sequences_fails(self, tmp_path, capsys):
         code = main(["gen", "--sequences", "0", "--intervals", "5",

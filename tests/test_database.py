@@ -165,6 +165,18 @@ def test_restrict_with_an_unmasked_event_counts_the_kept_sequences(positions):
         "shared": len(positions), **{f"own{p + 1}": 1 for p in positions}}
 
 
+def test_start_minima_are_computed_once_across_restrictions():
+    # At epsilon 1 the first line sorts to C, A, B, D, E: starts 6, 5, 4, 7, 8.
+    db = parse_database("1|A,5,10 B,4,20 C,6,8 D,7,9 E,8,9\n2|A,0,1\n3|B,2,3 A,9,9\n",
+                        epsilon=1)
+    assert db.start_minima(1) == (4, 4, 4, 7, 8)
+    kept = db.restrict([0, 2])
+    assert kept.start_minima(1) is db.start_minima(1)
+    # A sequence first scanned through a restriction is kept for the database.
+    assert kept.start_minima(3) == (2, 9)
+    assert db.start_minima(3) is kept.start_minima(3)
+
+
 def test_parse_keeps_one_string_per_event_name():
     text = "".join(f"{sid}|ev{sid % 3},0,1 ev{sid % 5},2,3 ev{sid % 3},4,5\n"
                    for sid in range(1, 31))

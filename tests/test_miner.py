@@ -172,6 +172,14 @@ class TestMine:
         with pytest.raises(ValueError, match="query"):
             mine(example_db, None, example_cfg)
 
+    @pytest.mark.parametrize("mode", ["targeted", "full-post"])
+    def test_string_query_rejected(self, example_db, example_cfg, mode):
+        # Read as a sequence, "AC" is the query ("A", "C"), which has results.
+        cfg = replace(example_cfg, mode=mode)
+        assert mine(example_db, ("A", "C"), cfg)[0]
+        with pytest.raises(ValueError, match="tuple of event names"):
+            mine(example_db, "AC", cfg)
+
     def test_bad_min_sup_rejected(self):
         with pytest.raises(ValueError, match="min_sup"):
             MiningConfig(min_sup=1.1)

@@ -17,7 +17,7 @@ from tirpmine import (
     serialize_database,
     usfp_filter,
 )
-from tirpmine.vertical import PatternOccurrence, VerticalDatabase
+from tirpmine.vertical import PatternOccurrence, VerticalDatabase, extend_prefix
 
 from conftest import EXAMPLE_CONSTRAINTS, random_trial
 
@@ -258,6 +258,44 @@ def test_extension_invariants_on_random_dbs(seed):
                     assert list(bounded.by_sid.items()) == list(ext.by_sid.items())
                 else:
                     assert bounded.vertical_support() < bound
+
+
+def test_extend_prefix_is_extend_vdb_for_each_frequent_candidate():
+    """One scan for all candidates returns exactly the candidates whose join
+    reaches the threshold, each with extend_vdb's rows in extend_vdb's order,
+    at epsilon 0 to 2, from prefixes of one and two events."""
+    at_threshold = below = dura_binds = 0
+    for seed in range(60):
+        db, c, min_sup, _qes = random_trial(seed, epsilon=seed % 3)
+        if seed % 4 == 3:
+            # Keep zero- and one-length intervals out of the singletons.
+            c = replace(c, min_dura=2)
+        rng = random.Random(seed)
+        singletons = build_singleton_vdbs(db, c)
+        loose = build_singleton_vdbs(db, replace(c, min_dura=0))
+        events = sorted(singletons)
+        prefixes = list(singletons.values())
+        prefixes += [ext for p in list(prefixes) for e in events
+                     if (ext := extend_vdb(p, e, singletons[e], c)).by_sid]
+        for prefix in prefixes:
+            candidates = rng.sample(events, rng.randint(1, len(events)))
+            full = {e: extend_vdb(prefix, e, singletons[e], c) for e in candidates}
+            dura_binds += sum(1 for e in candidates
+                              if extend_vdb(prefix, e, loose[e], c).by_sid != full[e].by_sid)
+            supports = {v.vertical_support() for v in full.values()}
+            thresholds = {1, min_sup * len(db)} | supports | {v + 1 for v in supports}
+            for t in sorted(t for t in thresholds if t >= 1):
+                joined = extend_prefix(prefix, candidates, db, c, t)
+                assert set(joined) == {e for e, v in full.items() if v.vertical_support() >= t}
+                for e, ext in joined.items():
+                    assert ext.events == prefix.events + (e,)
+                    assert list(ext.by_sid.items()) == list(full[e].by_sid.items())
+                at_threshold += any(v.vertical_support() == t for v in joined.values())
+                below += any(v.vertical_support() == t - 1 > 0 for v in full.values())
+    # A candidate exactly at a threshold was returned, one a sequence short
+    # of it was met, and the single-interval duration filter changed a join.
+    assert at_threshold > 0 and below > 0
+    assert dura_binds > 0
 
 
 def _scan_join(prefix, single, c):
