@@ -147,6 +147,7 @@ def _format_stats(stats) -> str:
         f"join_operations={stats.join_operations}\n"
         f"pruned_uqpp={stats.pruned_uqpp}\n"
         f"pruned_uepp={stats.pruned_uepp}\n"
+        f"pruned_uqrp={stats.pruned_uqrp}\n"
         f"patterns={stats.patterns}\n"
         f"elapsed_ms={stats.elapsed * 1000:.3f}\n"
     )

@@ -1,14 +1,21 @@
-"""Targeted pattern growth with sequence filtering and pair-support pruning.
+"""Targeted pattern growth with sequence filtering and query pruning.
 
 The miner grows patterns depth-first by appending events after the current
-pattern's last interval. Three independently toggleable strategies cut the
+pattern's last interval. Four independently toggleable strategies cut the
 search space:
 
-* sequence filtering: drop whole sequences that cannot contain the query;
-* query pruning: abandon a branch when the last event cannot frequently
-  precede the next unmatched query event;
-* extension pruning: skip candidate events whose pair support with the
-  last event is below threshold.
+* sequence filtering (USFP): drop whole sequences that cannot contain the
+  query;
+* query pair pruning (UQPP): abandon a branch when the last event cannot
+  frequently precede the next unmatched query event;
+* extension pair pruning (UEPP): skip candidate events whose pair support
+  with the last event is below threshold;
+* query row pruning (UQRP): drop each row whose own sequence no longer
+  holds the unmatched rest of the query after it, and with it a branch
+  left with too few sequences.
+
+The pair support matrix that UQPP and UEPP read is built only when one of
+them is on.
 """
 from __future__ import annotations
 
@@ -24,6 +31,7 @@ from .database import Database
 # name in this module, with usfp_filter, build_singleton_vdbs and
 # build_psm; without the name every traced query raises AttributeError.
 from .vertical import (  # noqa: F401
+    QueryReach,
     build_psm,
     build_singleton_vdbs,
     extend_prefix,
@@ -41,6 +49,7 @@ class StrategyFlags:
     usfp: bool = True
     uqpp: bool = True
     uepp: bool = True
+    uqrp: bool = True  # last, so that positional construction of the first three holds
 
 
 @dataclass(frozen=True)
@@ -80,8 +89,18 @@ class MiningStats:
     join_operations: int = 0
     pruned_uqpp: int = 0
     pruned_uepp: int = 0
+    pruned_uqrp: int = 0
     patterns: int = 0
     elapsed: float = 0.0
+
+
+def _query(qes) -> tuple[str, ...]:
+    """``qes`` as a tuple, rejecting a string: a string is a sequence of its
+    characters, so "e012" would query the events e, 0, 1 and 2."""
+    if isinstance(qes, str):
+        raise ValueError(f"query event sequence must be a tuple of event names, "
+                         f"not the string {qes!r}")
+    return tuple(qes)
 
 
 def contains_subsequence(events, qes) -> bool:
@@ -106,7 +125,7 @@ def usfp_filter(db: Database, qes) -> Database:
     the database's order; a one-event query keeps them all unchecked. The
     result is ``db.restrict`` of the kept positions, which counts its
     per-event support from ``db``'s masks when every event has one."""
-    qes = tuple(qes)
+    qes = _query(qes)
     if not qes:
         raise ValueError("query event sequence must be nonempty")
     index = db.event_positions
@@ -120,7 +139,7 @@ def usfp_filter(db: Database, qes) -> Database:
 
 def post_filter(results, qes) -> list[STirpResult]:
     """Restrict full-mining output to patterns containing the query."""
-    qes = tuple(qes)
+    qes = _query(qes)
     return [r for r in results if contains_subsequence(r.events, qes)]
 
 
@@ -131,10 +150,13 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats) -> list[ST
     depth is not bounded by recursion. A level's children are all joined
     in one scan of the prefix's rows when the level is entered, and each is
     dropped by its generator once yielded. An empty ``qes`` disables query
-    tracking (full mining): every node matches.
+    tracking (full mining): every node matches. ``psm`` is read only when
+    UQPP or UEPP is on.
     """
     emissions: list[STirpResult] = []
     flags, c, max_len = cfg.strategies, cfg.constraints, cfg.max_pattern_length
+    # One query's row bounds, built per sequence as the search first needs them.
+    reach = QueryReach(qes) if flags.uqrp and qes else None
 
     def children(prefix, last, match):
         # A join is one (prefix, candidate) pair that extension pruning
@@ -148,7 +170,7 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats) -> list[ST
         if not joined:
             return
         stats.join_operations += len(joined)
-        exts = extend_prefix(prefix, joined, working, c, threshold)
+        exts = extend_prefix(prefix, joined, working, c, threshold, reach, match)
         for f in joined:
             ext = exts.pop(f, None)
             if ext is not None:
@@ -172,6 +194,8 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats) -> list[ST
             continue
         if max_len is None or len(prefix.events) < max_len:
             stack.append(children(prefix, last, match))
+    if reach is not None:
+        stats.pruned_uqrp = reach.pruned
     return emissions
 
 
@@ -184,15 +208,10 @@ def _frequent_events(singletons) -> list[str]:
 
 def _mine_emissions(db: Database, qes, cfg: MiningConfig):
     """Run the pipeline and return the emissions, in search order, and stats."""
-    if isinstance(qes, str):
-        # A string is a sequence of its characters: "e012" would query the
-        # events e, 0, 1 and 2.
-        raise ValueError(f"query event sequence must be a tuple of event names, "
-                         f"not the string {qes!r}")
     stats = MiningStats()
     targeted = cfg.mode == MODE_TARGETED
     if targeted or cfg.mode == MODE_FULL_POST:
-        qes = tuple(qes) if qes is not None else ()
+        qes = _query(qes) if qes is not None else ()
         if not qes:
             raise ValueError("query event sequence required in targeted/full-post modes")
     # The least integer support that is at least min_sup * |DB|, with
@@ -216,7 +235,9 @@ def _mine_emissions(db: Database, qes, cfg: MiningConfig):
     # (frequent, query event); infrequent query events stay in scope so
     # that query pruning reads the same support as over all events.
     search_qes = qes if targeted else ()
-    psm = build_psm(working, c, set(sf).union(search_qes))
+    flags = cfg.strategies
+    psm = (build_psm(working, c, set(sf).union(search_qes))
+           if flags.uqpp or flags.uepp else None)
 
     emissions = _search(search_qes, working, sf, singletons, psm, threshold, cfg, stats)
     return emissions, stats
@@ -241,13 +262,17 @@ def mine(db: Database, qes, cfg: MiningConfig):
     return results, stats
 
 
-# Benchmark variant presets differing in mode and strategy toggles.
+# Benchmark variant presets differing in mode and strategy toggles. The
+# first five are the paper's algorithms, which have no query row pruning;
+# tatirp12r adds it to tatirp12.
 _PRESETS = {
-    "fasttirp": (MODE_FULL, StrategyFlags(usfp=False, uqpp=False, uepp=True)),
-    "fasttirp-post": (MODE_FULL_POST, StrategyFlags(usfp=False, uqpp=False, uepp=True)),
-    "tatirp1": (MODE_TARGETED, StrategyFlags(usfp=True, uqpp=False, uepp=True)),
-    "tatirp2": (MODE_TARGETED, StrategyFlags(usfp=False, uqpp=True, uepp=True)),
-    "tatirp12": (MODE_TARGETED, StrategyFlags(usfp=True, uqpp=True, uepp=True)),
+    "fasttirp": (MODE_FULL, StrategyFlags(usfp=False, uqpp=False, uepp=True, uqrp=False)),
+    "fasttirp-post": (MODE_FULL_POST,
+                      StrategyFlags(usfp=False, uqpp=False, uepp=True, uqrp=False)),
+    "tatirp1": (MODE_TARGETED, StrategyFlags(usfp=True, uqpp=False, uepp=True, uqrp=False)),
+    "tatirp2": (MODE_TARGETED, StrategyFlags(usfp=False, uqpp=True, uepp=True, uqrp=False)),
+    "tatirp12": (MODE_TARGETED, StrategyFlags(usfp=True, uqpp=True, uepp=True, uqrp=False)),
+    "tatirp12r": (MODE_TARGETED, StrategyFlags(usfp=True, uqpp=True, uepp=True, uqrp=True)),
 }
 VARIANTS = tuple(_PRESETS)
 

@@ -2,8 +2,7 @@
 
 A vertical database holds one pattern's occurrences grouped by sequence id,
 ``sid -> [occurrence, ...]``, with no empty lists, so its vertical support
-is its number of keys. Singleton lists are in ascending ``eid`` order, which
-lets a join bisect them.
+is its number of keys. Singleton lists are in ascending ``eid`` order.
 
 An occurrence records where one embedding of a pattern lives inside one
 sequence: positions are 1-based, ``eid`` is the position of the last source
@@ -16,19 +15,21 @@ A prefix is grown by all its candidate events at once: ``extend_prefix``
 scans each prefix row's own sequence over the intervals the row can reach,
 those after it whose start lies within the gap and duration bounds of its
 envelope, and builds rows only for the candidates that reach the support
-threshold. ``extend_vdb`` joins a prefix with one candidate's singleton
-rows over the same window; it is the reference the scan is tested against.
+threshold. Given a ``QueryReach``, the scan also drops every row after
+which its sequence no longer holds the unmatched rest of the query (query
+row pruning). ``extend_vdb`` joins a prefix with one candidate's singleton
+rows by a plain scan of every later row; it is the reference the scan is
+tested against.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
 from .model import Constraints, _check_extension, duration_ok
-from .database import Database, suffix_minima
+from .database import Database
 
 
 class PatternOccurrence(NamedTuple):
@@ -59,15 +60,6 @@ class PatternOccurrence(NamedTuple):
 class VerticalDatabase:
     events: tuple[str, ...]
     by_sid: dict[int, list[PatternOccurrence]]
-
-    @cached_property
-    def join_view(self) -> dict[int, tuple[list[int], list[int]]]:
-        """Per sequence, the rows' eids, ascending in a singleton database,
-        which a join bisects, and the suffix minima of the rows' start
-        times: entry ``i`` of the minima is the least ``start_t`` of rows
-        ``i`` onward. Built on first use and kept with this database."""
-        return {sid: ([r.eid for r in rows], suffix_minima([r.start_t for r in rows]))
-                for sid, rows in self.by_sid.items()}
 
     @property
     def rows(self) -> list[PatternOccurrence]:
@@ -179,65 +171,67 @@ def extend_vdb(
 ) -> VerticalDatabase:
     """Join the prefix pattern with a candidate event's singleton rows.
 
-    For each prefix row, candidate rows in the same sequence with a larger
-    eid are screened by the extension validity rule against the prefix's
-    composite envelope ``(start_t, end_t)``. A candidate can pass only if it
-    starts by ``end_t + max(max_gap, epsilon)`` (a before step may leave a
-    gap up to max_gap, any other step one up to epsilon) and by
-    ``start_t + max_dura`` (else the composite lasts longer than max_dura);
-    an unbounded constraint sets no limit. The scan stops at the first
-    candidate past which every start exceeds that limit. It bisects the
-    suffix minima of the starts rather than the starts themselves, because
-    at epsilon > 0 starts in eid order need not be sorted; the minima never
-    decrease, so the cut drops no valid candidate.
+    Every candidate row with a larger eid in the same sequence as a prefix
+    row is screened by the extension validity rule against the prefix row's
+    composite envelope ``(start_t, end_t)``. Rows come out grouped by
+    sequence in the prefix's order, then by prefix row, then by eid.
 
-    ``threshold`` is the support a caller needs. A join that cannot reach it
-    returns as soon as that is certain: at once when fewer sequences are
-    shared, else once the sequences found plus those left fall short. Such
-    a result holds fewer than ``threshold`` sequences and only part of the
-    rows; a join that reaches it holds exactly the rows of the full join, in
-    the same order. The default of 0 always joins in full.
+    ``threshold`` is accepted and ignored: the join is always in full. This
+    is the reference ``extend_prefix`` is tested against, so it shares none
+    of its window logic.
     """
-    events = prefix.events + (candidate,)
     by_sid: dict[int, list[PatternOccurrence]] = {}
-    prefixes, candidates = prefix.by_sid, singleton.by_sid
-    left = len(prefixes.keys() & candidates.keys())
-    if left < threshold:
-        return VerticalDatabase(events, by_sid)
-    gap_reach = _UNBOUNDED if c.max_gap is None else max(c.max_gap, c.epsilon)
-    dura_reach = _UNBOUNDED if c.max_dura is None else c.max_dura
-    view = singleton.join_view
-    for sid, prefix_rows in prefixes.items():
-        entry = view.get(sid)
-        if entry is None:
-            continue
-        q_eids, minima = entry
-        qrows = candidates[sid]
-        n = len(qrows)
-        rows = []
-        # Rows are unpacked once: each read of a named tuple's field by
-        # name is a descriptor call.
-        for r in prefix_rows:
-            _, eid, start_t, end_t, _, _ = r
-            limit = end_t + gap_reach
-            if start_t + dura_reach < limit:
-                limit = start_t + dura_reach
-            lo = bisect_right(q_eids, eid)
-            if lo == n or minima[lo] > limit:
-                continue
-            hi = bisect_right(minima, limit, lo + 1)
-            for _, q_eid, q_start, q_end, _, _ in qrows[lo:hi]:
-                rel = _check_extension(start_t, end_t, q_start, q_end, c)
-                if rel is None:
-                    continue
-                rows.append(PatternOccurrence(
-                    sid, q_eid, min(start_t, q_start), max(end_t, q_end), rel, r))
+    for sid, prefix_rows in prefix.by_sid.items():
+        rows = [PatternOccurrence(sid, q.eid, min(r.start_t, q.start_t),
+                                  max(r.end_t, q.end_t), rel, r)
+                for r in prefix_rows for q in singleton.by_sid.get(sid, ())
+                if q.eid > r.eid and (rel := _check_extension(
+                    r.start_t, r.end_t, q.start_t, q.end_t, c)) is not None]
         if rows:
             by_sid[sid] = rows
-        left -= 1
-        if len(by_sid) + left < threshold:
+    return VerticalDatabase(prefix.events + (candidate,), by_sid)
+
+
+def latest_starts(events, qes) -> tuple[int, ...]:
+    """Entry ``k`` is the greatest position at which an embedding of
+    ``qes[k:]`` in ``events`` can start, or 0 when ``events`` holds none.
+    The last entry, for the empty rest, is ``len(events) + 1``, a position
+    past every interval.
+
+    One right-to-left greedy pass: each query event, last first, is matched
+    at its latest position before the match of the one after it."""
+    table = [0] * len(qes) + [len(events) + 1]
+    k = len(qes) - 1
+    for pos in range(len(events), 0, -1):
+        if k < 0:
             break
-    return VerticalDatabase(events, by_sid)
+        if events[pos - 1] == qes[k]:
+            table[k] = pos
+            k -= 1
+    return tuple(table)
+
+
+class QueryReach:
+    """Per sequence, where the rest of a query can start.
+
+    A row that has matched ``qes[:m]`` can lead to a pattern holding the
+    query only if its sequence holds ``qes[m:]`` after the row's ``eid``,
+    that is, only if ``eid < table(sid, intervals)[m]``. A table is built
+    from the sequence's intervals on first request and kept by sid for the
+    life of this object, one query's search over one database; ``pruned``
+    counts the work the test saves, as ``extend_prefix`` documents."""
+
+    def __init__(self, qes: tuple[str, ...]):
+        self.qes = qes
+        self.pruned = 0
+        self._tables: dict[int, tuple[int, ...]] = {}
+
+    def table(self, sid: int, intervals) -> tuple[int, ...]:
+        table = self._tables.get(sid)
+        if table is None:
+            table = self._tables[sid] = latest_starts(
+                [event for _, _, event in intervals], self.qes)
+        return table
 
 
 def extend_prefix(
@@ -246,18 +240,25 @@ def extend_prefix(
     db: Database,
     c: Constraints,
     threshold: float,
+    reach: QueryReach | None = None,
+    match: int = 0,
 ) -> dict[str, VerticalDatabase]:
     """Join the prefix pattern with every candidate event in one scan.
 
     Returns, for each event in ``candidates`` whose extension holds at least
     ``threshold`` sequences, the database ``extend_vdb`` returns for it with
     that event's singleton database, row for row and in the same order.
+    With ``reach``, the prefix has matched ``reach.qes[:match]`` and the
+    rows are those of that database that can still reach the rest of the
+    query, as below.
 
     Each prefix row is scanned in its own sequence of ``db``, the database
     the prefix was mined from, from the position after its ``eid`` to the
-    end of the window ``extend_vdb`` reads: the scan stops past which every
-    start exceeds ``end_t + max(max_gap, epsilon)`` or
-    ``start_t + max_dura``, found by bisecting ``db.start_minima``. An
+    end of the window where a valid extension can start: the scan stops
+    past which every start exceeds ``end_t + max(max_gap, epsilon)`` (a
+    before step may leave a gap up to max_gap, any other step one up to
+    epsilon) or ``start_t + max_dura`` (else the composite lasts longer
+    than max_dura), found by bisecting ``db.start_minima``. An
     interval in the window is a candidate exactly when its event's
     singleton database would hold it: its event is a candidate and its
     duration is at least min_dura. (A duration over max_dura needs no check
@@ -268,8 +269,23 @@ def extend_prefix(
     the prefix's sequences left fall short of it, the event is dropped
     from the scan with its hits, and the scan ends when none is left. An
     event with no hit is never returned, whatever the threshold.
+
+    Query row pruning: while ``match`` is short of the query, with ``q``
+    the next query event and ``table`` the row's sequence's
+    ``reach.table``, a prefix row is skipped when ``eid >= table[match]``,
+    its window is cut to end before position ``table[match + 1]``, and a
+    hit at ``q_eid`` is kept only if ``q_eid < table[match + 1]`` when its
+    event is ``q``, and ``q_eid < table[match]`` otherwise. The test is
+    exact: a dropped row's sequence no longer holds the rest of the query
+    after it, so no pattern holding the query descends from it. Since
+    support is counted over the kept hits, the early exit above drops a
+    candidate the test starves. ``reach.pruned`` grows by the rows skipped
+    or cut and the hits dropped inside the window.
     """
     wanted = set(candidates)
+    rest = reach is not None and match < len(reach.qes)
+    q = reach.qes[match] if rest else None
+    pruned = 0
     min_dura = c.min_dura
     gap_reach = _UNBOUNDED if c.max_gap is None else max(c.max_gap, c.epsilon)
     dura_reach = _UNBOUNDED if c.max_dura is None else c.max_dura
@@ -279,9 +295,20 @@ def extend_prefix(
     for sid, prefix_rows in prefix.by_sid.items():
         intervals, minima = sequences[sid].intervals, start_minima(sid)
         n = len(intervals)
+        if rest:
+            table = reach.table(sid, intervals)
+            b_other, b_q = table[match], table[match + 1]
+        else:
+            b_other = b_q = n + 1  # past every position: no bound
+        # Position p is index p - 1, so a hit before position b_q lies
+        # below index b_q - 1.
+        cap = b_q - 1
         found: dict[str, list[tuple]] = {}
         for r in prefix_rows:
             _, eid, start_t, end_t, _, _ = r
+            if eid >= b_other:
+                pruned += 1
+                continue
             limit = end_t + gap_reach
             if start_t + dura_reach < limit:
                 limit = start_t + dura_reach
@@ -289,8 +316,14 @@ def extend_prefix(
             if eid == n or minima[eid] > limit:
                 continue
             hi = bisect_right(minima, limit, eid + 1)
+            if hi > cap:
+                hi = cap
+                pruned += 1
             for q_eid, (q_start, q_end, event) in enumerate(intervals[eid:hi], eid + 1):
                 if event not in wanted or q_end - q_start < min_dura:
+                    continue
+                if q_eid >= b_other and event != q:
+                    pruned += 1
                     continue
                 rel = _check_extension(start_t, end_t, q_start, q_end, c)
                 if rel is None:
@@ -312,6 +345,8 @@ def extend_prefix(
             if not wanted:
                 break
             least = min(len(hits[e]) for e in wanted)
+    if reach is not None:
+        reach.pruned += pruned
     # Every event still in hits has reached the threshold: after the last
     # sequence, one short of it would have been dropped.
     make = PatternOccurrence._make

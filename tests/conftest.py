@@ -4,6 +4,7 @@ import pytest
 
 from tirpmine import Constraints, MiningConfig, SymbolicInterval, parse_database
 from tirpmine.database import Database, make_sequence
+from tirpmine.miner import contains_subsequence
 
 # The five-sequence worked example used throughout the tests.
 EXAMPLE_TEXT = """\
@@ -71,3 +72,17 @@ def random_trial(seed: int, epsilon: int | None = None):
     min_sup = rng.choice([0.2, 0.3, 0.4, 0.5])
     qes = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 2)))
     return db, constraints, min_sup, qes
+
+
+def earliest_starts(events, qes):
+    """Like ``tirpmine.vertical.latest_starts``, but entry ``k`` is where the
+    leftmost embedding of ``qes[k:]`` starts. As the table of query row
+    pruning it is too tight: it drops rows that can still reach the query,
+    so tests patch it in to show that they catch such a bound."""
+    table = []
+    for k in range(len(qes)):
+        first, rest = qes[k], qes[k + 1:]
+        starts = [pos for pos in range(1, len(events) + 1) if events[pos - 1] == first
+                  and (not rest or contains_subsequence(events[pos:], rest))]
+        table.append(starts[0] if starts else 0)
+    return tuple(table) + (len(events) + 1,)

@@ -63,6 +63,15 @@ def test_strategy_toggles_do_not_change_output(example_file, tmp_path):
         assert out2.read_text() == baseline
 
 
+def test_stats_report_query_row_pruning(example_file, tmp_path):
+    _, _, stats = run_mine(example_file, tmp_path)
+    lines = stats.read_text().splitlines()
+    keys = [line.split("=")[0] for line in lines]
+    assert keys.index("pruned_uqrp") == keys.index("pruned_uepp") + 1
+    kv = dict(line.split("=") for line in lines)
+    assert int(kv["pruned_uqrp"]) > 0
+
+
 def test_min_sup_out_of_range_fails(example_file, tmp_path, capsys):
     code = main(["mine", "--input", str(example_file), "--qes", "A,C",
                  "--min-sup", "1.1"])
@@ -158,7 +167,7 @@ def test_bench_names_disagreeing_variants(example_file, tmp_path, monkeypatch, c
 
     def mine_dropping_first_tatirp1_result(db, qes, cfg):
         results, stats = real_mine(db, qes, cfg)
-        if cfg.strategies == StrategyFlags(uqpp=False) and cfg.mode == "targeted":
+        if cfg.strategies == StrategyFlags(uqpp=False, uqrp=False) and cfg.mode == "targeted":
             results = results[1:]
         return results, stats
 

@@ -24,6 +24,7 @@ from tirpmine import (
 )
 from tirpmine.database import make_sequence
 from tirpmine.miner import _frequent_events, _mine_emissions
+from tirpmine.oracle import enumerate_all, target_filter
 
 from conftest import (
     EXAMPLE_CONSTRAINTS,
@@ -31,6 +32,7 @@ from conftest import (
     EXAMPLE_PATTERNS,
     EXAMPLE_QES,
     EXAMPLE_TEXT,
+    earliest_starts,
     random_trial,
 )
 
@@ -79,6 +81,14 @@ class TestUsfpFilter:
 
     def test_empty_database(self):
         assert usfp_filter(Database(()), ("A",)) == Database(())
+
+    def test_string_query_rejected(self):
+        # Read as its characters, "AC" would keep sequence 1 (A then C) and
+        # drop sequence 2, which holds the event AC.
+        db = parse_database("1|A,0,1 C,2,3\n2|AC,0,1\n")
+        assert [s.sid for s in usfp_filter(db, ("AC",)).sequences] == [2]
+        with pytest.raises(ValueError, match="tuple of event names"):
+            usfp_filter(db, "AC")
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_brute_scan_on_random_dbs(self, seed):
@@ -194,33 +204,77 @@ class TestMine:
         }
 
     def test_uqpp_prunes_branches(self, example_db, example_cfg):
-        _, stats = mine(example_db, EXAMPLE_QES, example_cfg)
+        # Query row pruning is off: it would drop the branches first.
+        _, stats = mine(example_db, EXAMPLE_QES,
+                        replace(example_cfg, strategies=StrategyFlags(uqrp=False)))
         assert stats.pruned_uqpp > 0
         _, stats_no = mine(
             example_db, EXAMPLE_QES,
-            replace(example_cfg, strategies=StrategyFlags(uqpp=False)),
+            replace(example_cfg, strategies=StrategyFlags(uqpp=False, uqrp=False)),
         )
         assert stats_no.pruned_uqpp == 0
         assert stats_no.join_operations >= stats.join_operations
+
+    def test_uqrp_prunes_rows(self, example_db, example_cfg):
+        results, stats = mine(example_db, EXAMPLE_QES, example_cfg)
+        assert stats.pruned_uqrp > 0
+        off = replace(example_cfg, strategies=StrategyFlags(uqrp=False))
+        results_off, stats_off = mine(example_db, EXAMPLE_QES, off)
+        assert results_off == results
+        assert stats_off.pruned_uqrp == 0
+        assert stats.join_operations < stats_off.join_operations
+        # The count is a function of the inputs.
+        assert mine(example_db, EXAMPLE_QES, example_cfg)[1].pruned_uqrp == stats.pruned_uqrp
+
+    def test_pair_matrix_built_only_for_pair_strategies(self, example_db, example_cfg,
+                                                        monkeypatch):
+        """With UQPP and UEPP off nothing reads the pair support matrix, so
+        it is not built, and the output is as before."""
+        import tirpmine.miner
+
+        calls = []
+        real = tirpmine.miner.build_psm
+
+        def recording_build_psm(*args):
+            calls.append(args)
+            return real(*args)
+
+        expected, _ = mine(example_db, EXAMPLE_QES, example_cfg)
+        monkeypatch.setattr(tirpmine.miner, "build_psm", recording_build_psm)
+        for uqpp, uepp in itertools.product([True, False], repeat=2):
+            del calls[:]
+            flags = StrategyFlags(uqpp=uqpp, uepp=uepp)
+            results, _ = mine(example_db, EXAMPLE_QES, replace(example_cfg, strategies=flags))
+            assert results == expected
+            assert len(calls) == (1 if uqpp or uepp else 0)
 
 
 class TestStrategyIndependence:
     @pytest.mark.parametrize("seed", range(15))
     def test_output_identical_across_flag_combinations(self, seed):
-        db, constraints, min_sup, qes = random_trial(seed)
-        base = MiningConfig(min_sup=min_sup, constraints=constraints,
-                            max_pattern_length=5)
-        outputs = []
-        joins = {}
-        for usfp, uqpp, uepp in itertools.product([True, False], repeat=3):
-            cfg = replace(base, strategies=StrategyFlags(usfp, uqpp, uepp))
-            results, stats = mine(db, qes, cfg)
-            outputs.append(results)
-            joins[(usfp, uqpp, uepp)] = stats.join_operations
-        assert all(o == outputs[0] for o in outputs)
-        # more pruning can only reduce join work
-        all_on = joins[(True, True, True)]
-        assert all(all_on <= j for j in joins.values())
+        for epsilon in (0, 1, 2):
+            db, constraints, min_sup, qes = random_trial(seed, epsilon=epsilon)
+            base = MiningConfig(min_sup=min_sup, constraints=constraints,
+                                max_pattern_length=5)
+            outputs = []
+            joins = {}
+            for flags in itertools.product([True, False], repeat=4):
+                cfg = replace(base, strategies=StrategyFlags(*flags))
+                results, stats = mine(db, qes, cfg)
+                outputs.append(results)
+                joins[flags] = stats.join_operations
+            assert all(o == outputs[0] for o in outputs)
+            # more pruning can only reduce join work
+            all_on = joins[(True, True, True, True)]
+            assert all(all_on <= j for j in joins.values())
+            for usfp, uqpp, uepp in itertools.product([True, False], repeat=3):
+                assert joins[usfp, uqpp, uepp, True] <= joins[usfp, uqpp, uepp, False]
+
+    def test_post_filter_rejects_string_query(self, example_db, example_cfg):
+        full, _ = mine(example_db, None, replace(example_cfg, mode="full"))
+        assert post_filter(full, ("A", "C"))
+        with pytest.raises(ValueError, match="tuple of event names"):
+            post_filter(full, "AC")
 
     @pytest.mark.parametrize("seed", range(15))
     def test_post_filter_mode_matches_targeted(self, seed):
@@ -257,7 +311,7 @@ def test_thread_count_does_not_change_output(example_db, example_cfg):
 
 
 # Search work per variant on one sparse seeded DB where the pair-support
-# matrix prunes in every variant and query pruning fires in tatirp2/12:
+# matrix prunes in every variant and query pair pruning fires in tatirp2/12/12r:
 # (patterns, join_operations, pruned_uqpp, pruned_uepp), keyed by query and
 # min_dura. At min_dura 8 event 1 is infrequent while pairs ending in it are
 # not (the matrix does not screen on min_dura), so query pruning depends on
@@ -268,13 +322,13 @@ PINNED_DB = GeneratorParams(num_sequences=50, intervals_per_sequence=10, alphabe
 PINNED_WORK = {
     (("0",), 0): {"fasttirp": (76, 460, 0, 452), "fasttirp-post": (9, 460, 0, 452),
                   "tatirp1": (9, 50, 0, 274), "tatirp2": (9, 240, 19, 192),
-                  "tatirp12": (9, 42, 10, 150)},
+                  "tatirp12": (9, 42, 10, 150), "tatirp12r": (9, 42, 5, 150)},
     (("2", "0"), 0): {"fasttirp": (76, 460, 0, 452), "fasttirp-post": (1, 460, 0, 452),
                       "tatirp1": (1, 1, 0, 155), "tatirp2": (1, 287, 19, 229),
-                      "tatirp12": (1, 1, 11, 23)},
+                      "tatirp12": (1, 1, 11, 23), "tatirp12r": (1, 1, 11, 23)},
     (("1",), 8): {"fasttirp": (7, 21, 0, 28), "fasttirp-post": (0, 21, 0, 28),
                   "tatirp1": (0, 0, 0, 4), "tatirp2": (0, 11, 3, 17),
-                  "tatirp12": (0, 0, 1, 2)},
+                  "tatirp12": (0, 0, 1, 2), "tatirp12r": (0, 0, 1, 2)},
 }
 
 
@@ -290,3 +344,32 @@ def test_search_work_is_pinned(qes, min_dura):
         work[variant] = (stats.patterns, stats.join_operations,
                          stats.pruned_uqpp, stats.pruned_uepp)
     assert work == PINNED_WORK[qes, min_dura]
+
+
+def _oracle_misses(seeds) -> int:
+    """Trials, at epsilon 0 to 2 and queries of one to three events, whose
+    default targeted output differs from the brute-force oracle's."""
+    misses = 0
+    for seed in seeds:
+        for epsilon in (0, 1, 2):
+            db, constraints, min_sup, qes = random_trial(seed, epsilon=epsilon)
+            for q in (qes, qes + db.alphabet[:1]):
+                cfg = MiningConfig(min_sup=min_sup, constraints=constraints,
+                                   max_pattern_length=5)
+                results, _ = mine(db, q, cfg)
+                expected = target_filter(
+                    enumerate_all(db, constraints, 5, min_sup * len(db)), q)
+                misses += {r.events: (r.vsup, r.supporting_sids) for r in results} != expected
+    return misses
+
+
+def test_query_row_pruning_matches_the_oracle():
+    assert _oracle_misses(range(40)) == 0
+
+
+def test_query_row_pruning_from_the_earliest_embedding_misses_patterns(monkeypatch):
+    """A table of the earliest embedding starts drops rows that can still
+    reach the query, and with them patterns or supporting sequences, which
+    the oracle check above catches."""
+    monkeypatch.setattr("tirpmine.vertical.latest_starts", earliest_starts)
+    assert _oracle_misses(range(40)) > 0

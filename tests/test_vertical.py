@@ -17,9 +17,16 @@ from tirpmine import (
     serialize_database,
     usfp_filter,
 )
-from tirpmine.vertical import PatternOccurrence, VerticalDatabase, extend_prefix
+from tirpmine.miner import contains_subsequence
+from tirpmine.vertical import (
+    PatternOccurrence,
+    QueryReach,
+    VerticalDatabase,
+    extend_prefix,
+    latest_starts,
+)
 
-from conftest import EXAMPLE_CONSTRAINTS, random_trial
+from conftest import EXAMPLE_CONSTRAINTS, earliest_starts, random_trial
 
 
 class TestSingletonVdbs:
@@ -296,6 +303,96 @@ def test_extend_prefix_is_extend_vdb_for_each_frequent_candidate():
     # of it was met, and the single-interval duration filter changed a join.
     assert at_threshold > 0 and below > 0
     assert dura_binds > 0
+
+
+def _embeds_after(events, pos, rest) -> bool:
+    """Whether ``rest`` embeds in ``events`` after position ``pos``, read
+    from the definition rather than from a table."""
+    return not rest or contains_subsequence(events[pos:], rest)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_latest_starts_is_the_greatest_embedding_start(seed):
+    rng = random.Random(seed)
+    events = [rng.choice("ABC") for _ in range(rng.randint(0, 12))]
+    qes = tuple(rng.choice("ABC") for _ in range(rng.randint(1, 4)))
+    table = latest_starts(events, qes)
+    assert len(table) == len(qes) + 1 and table[-1] == len(events) + 1
+    for k in range(len(qes)):
+        starts = [pos for pos in range(1, len(events) + 1)
+                  if events[pos - 1] == qes[k] and _embeds_after(events, pos, qes[k + 1:])]
+        assert table[k] == max(starts, default=0)
+
+
+def _reach_mismatches(seeds):
+    """Run ``extend_prefix`` with a ``QueryReach`` against the full join
+    filtered by ``_embeds_after`` and return (cases that differ, cases
+    whose rows the filter changed, total ``pruned``).
+
+    The expected rows of a candidate are those of ``extend_vdb`` whose
+    sequence still holds the rest of the query, after the candidate has
+    matched its query event if it is the next one, after the row's eid; the
+    candidates returned are those with at least ``threshold`` sequences
+    left. Prefixes are singletons and the full joins of two events, at
+    epsilon 0 to 2, with queries of one to three events."""
+    mismatches = filtered = pruned = 0
+    for seed in seeds:
+        db, c, min_sup, qes = random_trial(seed, epsilon=seed % 3)
+        rng = random.Random(seed)
+        sequences = db.sequence_by_sid
+        singletons = build_singleton_vdbs(db, c)
+        events = sorted(singletons)
+        if not events:
+            continue
+        prefixes = list(singletons.values())
+        prefixes += [ext for p in list(prefixes) for e in events
+                     if (ext := extend_vdb(p, e, singletons[e], c)).by_sid]
+        queries = [qes] + [tuple(rng.choice(db.alphabet) for _ in range(rng.randint(1, 3)))
+                           for _ in range(2)]
+        for query in queries:
+            reach = QueryReach(query)
+            for prefix in prefixes:
+                match = 0
+                for e in prefix.events:
+                    if match < len(query) and e == query[match]:
+                        match += 1
+                candidates = rng.sample(events, rng.randint(1, len(events)))
+                expected = {}
+                for e in candidates:
+                    after = match + (match < len(query) and e == query[match])
+                    full = extend_vdb(prefix, e, singletons[e], c).by_sid
+                    kept = {sid: [r for r in rows
+                                  if _embeds_after(sequences[sid].events, r.eid, query[after:])]
+                            for sid, rows in full.items()}
+                    kept = {sid: rows for sid, rows in kept.items() if rows}
+                    filtered += kept != full
+                    expected[e] = kept
+                supports = {len(v) for v in expected.values()}
+                for t in sorted({1, min_sup * len(db)} | supports | {v + 1 for v in supports}):
+                    if t < 1:
+                        continue
+                    joined = extend_prefix(prefix, candidates, db, c, t, reach, match)
+                    got = {e: list(v.by_sid.items()) for e, v in joined.items()}
+                    want = {e: list(v.items()) for e, v in expected.items() if len(v) >= t}
+                    mismatches += got != want
+            pruned += reach.pruned
+    return mismatches, filtered, pruned
+
+
+def test_extend_prefix_with_reach_keeps_the_rows_that_reach_the_query():
+    mismatches, filtered, pruned = _reach_mismatches(range(60))
+    assert mismatches == 0
+    # The bound dropped rows, and counted its work.
+    assert filtered > 0 and pruned > 0
+
+
+def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
+    """A table of the earliest embedding starts instead of the latest keeps
+    a row only if it lies before the leftmost embedding of the rest of the
+    query, and so drops rows that still reach it: the check above fails."""
+    monkeypatch.setattr("tirpmine.vertical.latest_starts", earliest_starts)
+    mismatches, _, _ = _reach_mismatches(range(60))
+    assert mismatches > 0
 
 
 def _scan_join(prefix, single, c):
