@@ -55,9 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine", help="mine patterns from a database file")
     _add_mining_args(p_mine)
     p_mine.add_argument("--mode", choices=MODES, default="targeted")
-    p_mine.add_argument("--no-usfp", action="store_true")
-    p_mine.add_argument("--no-uqpp", action="store_true")
-    p_mine.add_argument("--no-uepp", action="store_true")
+    p_mine.add_argument("--no-usfp", action="store_true",
+                        help="turn sequence filtering off")
+    p_mine.add_argument("--no-uqpp", action="store_true",
+                        help="accepted for compatibility; query pair pruning is "
+                             "off by default, so this restates the default")
+    p_mine.add_argument("--no-uepp", action="store_true",
+                        help="accepted for compatibility; extension pair pruning is "
+                             "off by default, so this restates the default")
     p_mine.add_argument("--output", help="result file (default stdout)")
 
     p_bench = sub.add_parser("bench", help="compare algorithm variants on one input")
@@ -155,7 +160,7 @@ def _format_stats(stats) -> str:
 
 def _cmd_mine(args) -> int:
     qes = _parse_qes(args)
-    flags = StrategyFlags(usfp=not args.no_usfp, uqpp=not args.no_uqpp, uepp=not args.no_uepp)
+    flags = StrategyFlags(usfp=not args.no_usfp)
     cfg = _config(args, strategies=flags, mode=args.mode)
     db = _load_db(args)
     results, stats = mine(db, qes, cfg)

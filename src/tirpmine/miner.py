@@ -14,8 +14,10 @@ search space:
   holds the unmatched rest of the query after it, and with it a branch
   left with too few sequences.
 
-The pair support matrix that UQPP and UEPP read is built only when one of
-them is on.
+The default is USFP plus UQRP. UQPP and UEPP read a pair support matrix,
+built only when one of them is on; since UQRP drops the same work row by
+row, the matrix costs more to build than they save, and only the paper's
+benchmark presets turn them on.
 """
 from __future__ import annotations
 
@@ -47,8 +49,10 @@ MODES = (MODE_TARGETED, MODE_FULL, MODE_FULL_POST)
 @dataclass(frozen=True)
 class StrategyFlags:
     usfp: bool = True
-    uqpp: bool = True
-    uepp: bool = True
+    # Off by default: with UQRP on, building the pair matrix costs more than
+    # the two pair strategies save (BENCH_8.json).
+    uqpp: bool = False
+    uepp: bool = False
     uqrp: bool = True  # last, so that positional construction of the first three holds
 
 

@@ -167,7 +167,6 @@ def extend_vdb(
     candidate: str,
     singleton: VerticalDatabase,
     c: Constraints,
-    threshold: float = 0,
 ) -> VerticalDatabase:
     """Join the prefix pattern with a candidate event's singleton rows.
 
@@ -176,9 +175,8 @@ def extend_vdb(
     composite envelope ``(start_t, end_t)``. Rows come out grouped by
     sequence in the prefix's order, then by prefix row, then by eid.
 
-    ``threshold`` is accepted and ignored: the join is always in full. This
-    is the reference ``extend_prefix`` is tested against, so it shares none
-    of its window logic.
+    This is the reference ``extend_prefix`` is tested against, so it shares
+    none of its window logic.
     """
     by_sid: dict[int, list[PatternOccurrence]] = {}
     for sid, prefix_rows in prefix.by_sid.items():

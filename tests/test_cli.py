@@ -58,17 +58,33 @@ def test_targeted_and_full_post_byte_identical(example_file, tmp_path):
 def test_strategy_toggles_do_not_change_output(example_file, tmp_path):
     _, out, _ = run_mine(example_file, tmp_path)
     baseline = out.read_text()
-    for flag in ("--no-usfp", "--no-uqpp", "--no-uepp"):
-        _, out2, _ = run_mine(example_file, tmp_path, flag)
-        assert out2.read_text() == baseline
+    _, out2, _ = run_mine(example_file, tmp_path, "--no-usfp")
+    assert out2.read_text() == baseline
+
+
+def test_pair_flags_restate_the_default(example_file, tmp_path):
+    """``--no-uqpp`` and ``--no-uepp`` are still accepted; both pair
+    strategies are off by default, so they change no output or counter."""
+    def run(*extra):
+        _, out, stats = run_mine(example_file, tmp_path, *extra)
+        counters = [line for line in stats.read_text().splitlines()
+                    if not line.startswith("elapsed_ms=")]
+        return out.read_text(), counters
+
+    assert run("--no-uqpp", "--no-uepp") == run()
 
 
 def test_stats_report_query_row_pruning(example_file, tmp_path):
+    """The default mine builds no pair matrix, so neither pair strategy
+    prunes, while query row pruning does; the keys keep their order."""
     _, _, stats = run_mine(example_file, tmp_path)
     lines = stats.read_text().splitlines()
-    keys = [line.split("=")[0] for line in lines]
-    assert keys.index("pruned_uqrp") == keys.index("pruned_uepp") + 1
+    assert [line.split("=")[0] for line in lines] == [
+        "sequences_filtered", "join_operations", "pruned_uqpp", "pruned_uepp",
+        "pruned_uqrp", "patterns", "elapsed_ms"]
     kv = dict(line.split("=") for line in lines)
+    assert kv["pruned_uqpp"] == "0"
+    assert kv["pruned_uepp"] == "0"
     assert int(kv["pruned_uqrp"]) > 0
 
 
@@ -167,7 +183,8 @@ def test_bench_names_disagreeing_variants(example_file, tmp_path, monkeypatch, c
 
     def mine_dropping_first_tatirp1_result(db, qes, cfg):
         results, stats = real_mine(db, qes, cfg)
-        if cfg.strategies == StrategyFlags(uqpp=False, uqrp=False) and cfg.mode == "targeted":
+        tatirp1 = StrategyFlags(usfp=True, uqpp=False, uepp=True, uqrp=False)
+        if cfg.strategies == tatirp1 and cfg.mode == "targeted":
             results = results[1:]
         return results, stats
 

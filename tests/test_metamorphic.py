@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from tirpmine import Constraints, Database, MiningConfig, SymbolicInterval, mine
+from tirpmine import Constraints, Database, MiningConfig, StrategyFlags, SymbolicInterval, mine
 from tirpmine.database import make_sequence
 
 SEEDS = range(36)
@@ -48,15 +48,22 @@ def build(raw, epsilon):
     return Database(tuple(make_sequence(sid, ivs, epsilon) for sid, ivs in sorted(raw.items())))
 
 
+# The default strategies, and all four on, so that the pair matrix and both
+# pair-pruning counters are checked under each transform too.
+STRATEGIES = (StrategyFlags(), StrategyFlags(uqpp=True, uepp=True))
+
+
 def run(raw, constraints, min_sup, qes):
-    """Full and targeted output, each with its search counters."""
+    """Full and targeted output, each with its search counters, under each
+    of ``STRATEGIES``."""
     db = build(raw, constraints.epsilon)
-    cfg = MiningConfig(min_sup=min_sup, constraints=constraints)
     outputs = []
-    for mode, query in (("full", None), ("targeted", qes)):
-        results, stats = mine(db, query, replace(cfg, mode=mode))
-        outputs.append((results, (stats.join_operations, stats.pruned_uqpp,
-                                  stats.pruned_uepp, stats.patterns)))
+    for strategies in STRATEGIES:
+        cfg = MiningConfig(min_sup=min_sup, constraints=constraints, strategies=strategies)
+        for mode, query in (("full", None), ("targeted", qes)):
+            results, stats = mine(db, query, replace(cfg, mode=mode))
+            outputs.append((results, (stats.join_operations, stats.pruned_uqpp,
+                                      stats.pruned_uepp, stats.pruned_uqrp, stats.patterns)))
     return outputs
 
 

@@ -205,12 +205,12 @@ class TestMine:
 
     def test_uqpp_prunes_branches(self, example_db, example_cfg):
         # Query row pruning is off: it would drop the branches first.
-        _, stats = mine(example_db, EXAMPLE_QES,
-                        replace(example_cfg, strategies=StrategyFlags(uqrp=False)))
+        on = StrategyFlags(uqpp=True, uepp=True, uqrp=False)
+        _, stats = mine(example_db, EXAMPLE_QES, replace(example_cfg, strategies=on))
         assert stats.pruned_uqpp > 0
         _, stats_no = mine(
             example_db, EXAMPLE_QES,
-            replace(example_cfg, strategies=StrategyFlags(uqpp=False, uqrp=False)),
+            replace(example_cfg, strategies=replace(on, uqpp=False)),
         )
         assert stats_no.pruned_uqpp == 0
         assert stats_no.join_operations >= stats.join_operations
@@ -218,7 +218,8 @@ class TestMine:
     def test_uqrp_prunes_rows(self, example_db, example_cfg):
         results, stats = mine(example_db, EXAMPLE_QES, example_cfg)
         assert stats.pruned_uqrp > 0
-        off = replace(example_cfg, strategies=StrategyFlags(uqrp=False))
+        # The default strategies with only query row pruning turned off.
+        off = replace(example_cfg, strategies=replace(example_cfg.strategies, uqrp=False))
         results_off, stats_off = mine(example_db, EXAMPLE_QES, off)
         assert results_off == results
         assert stats_off.pruned_uqrp == 0
@@ -227,10 +228,12 @@ class TestMine:
         assert mine(example_db, EXAMPLE_QES, example_cfg)[1].pruned_uqrp == stats.pruned_uqrp
 
     def test_pair_matrix_built_only_for_pair_strategies(self, example_db, example_cfg,
-                                                        monkeypatch):
+                                                        monkeypatch, tmp_path):
         """With UQPP and UEPP off nothing reads the pair support matrix, so
-        it is not built, and the output is as before."""
+        it is not built, and the output is as before. Both are off in the
+        default config and in CLI ``mine``; the paper's presets turn them on."""
         import tirpmine.miner
+        from tirpmine.cli import main
 
         calls = []
         real = tirpmine.miner.build_psm
@@ -239,14 +242,29 @@ class TestMine:
             calls.append(args)
             return real(*args)
 
-        expected, _ = mine(example_db, EXAMPLE_QES, example_cfg)
         monkeypatch.setattr(tirpmine.miner, "build_psm", recording_build_psm)
+        # example_cfg leaves the strategies at their defaults.
+        expected, _ = mine(example_db, EXAMPLE_QES, example_cfg)
+        assert calls == []
         for uqpp, uepp in itertools.product([True, False], repeat=2):
             del calls[:]
             flags = StrategyFlags(uqpp=uqpp, uepp=uepp)
             results, _ = mine(example_db, EXAMPLE_QES, replace(example_cfg, strategies=flags))
             assert results == expected
             assert len(calls) == (1 if uqpp or uepp else 0)
+
+        del calls[:]
+        db_file, out = tmp_path / "example.db", tmp_path / "out.tsv"
+        db_file.write_text(EXAMPLE_TEXT)
+        assert main(["mine", "--input", str(db_file), "--qes", ",".join(EXAMPLE_QES),
+                     "--min-sup", str(EXAMPLE_MINSUP), "--max-gap", "5",
+                     "--max-dura", "20", "--output", str(out)]) == 0
+        assert out.read_text().count("\n") == len(expected)
+        assert calls == []
+
+        results, _ = mine(example_db, EXAMPLE_QES, config_for_variant("tatirp12r", example_cfg))
+        assert results == expected
+        assert len(calls) == 1
 
 
 class TestStrategyIndependence:

@@ -235,8 +235,7 @@ class TestExtendVdb:
 # Seeds from 25 on run at epsilon 2, where starts in eid order can fall.
 @pytest.mark.parametrize("seed", range(35))
 def test_extension_invariants_on_random_dbs(seed):
-    db, constraints, min_sup, _qes = random_trial(seed, epsilon=2 if seed >= 25 else None)
-    threshold = min_sup * len(db)
+    db, constraints, *_ = random_trial(seed, epsilon=2 if seed >= 25 else None)
     vdbs = build_singleton_vdbs(db, constraints)
     psm = build_psm(db, constraints)
     sequences = {s.sid: s for s in db.sequences}
@@ -245,9 +244,7 @@ def test_extension_invariants_on_random_dbs(seed):
         for cand, single in vdbs.items():
             ext = extend_vdb(prefix, cand, single, constraints)
             vsup = ext.vertical_support()
-            # the window cut drops no row a scan of every later candidate finds
-            assert {sid: [(r.prefix, r.eid, r.relation) for r in rows]
-                    for sid, rows in ext.by_sid.items()} == _scan_join(prefix, single, constraints)
+            assert ext.events == (ev, cand)
             # anti-monotonicity of vertical support
             assert vsup <= prefix.vertical_support()
             # pair support matrix bounds the extension's support
@@ -256,15 +253,21 @@ def test_extension_invariants_on_random_dbs(seed):
                 assert list(r.sources) == sorted(set(r.sources))
                 assert len(r.relations) == len(r.sources) - 1
                 _replay_relations(sequences[r.sid], r, constraints.epsilon)
-            # a bounded join is the full join when that is frequent enough,
-            # and short of its threshold otherwise
-            for bound in (1, 2, threshold, vsup, vsup + 1):
-                bounded = extend_vdb(prefix, cand, single, constraints, bound)
-                assert bounded.events == ext.events
-                if vsup >= bound:
-                    assert list(bounded.by_sid.items()) == list(ext.by_sid.items())
-                else:
-                    assert bounded.vertical_support() < bound
+            # every valid (prefix row, later candidate interval) pair is a
+            # row, once, in prefix-row then eid order, and nothing else is
+            for sid, prefix_rows in prefix.by_sid.items():
+                seq = sequences[sid]
+                expected = [(id(p), q.eid) for p in prefix_rows
+                            for q in single.by_sid.get(sid, ()) if q.eid > p.eid
+                            and check_extension_validity(Span(p.start_t, p.end_t),
+                                                         seq.intervals[q.eid - 1],
+                                                         constraints) is not None]
+                rows = ext.by_sid.get(sid, [])
+                assert [(id(r.prefix), r.eid) for r in rows] == expected
+                assert all(seq.intervals[r.eid - 1].event == cand for r in rows)
+            assert ext.by_sid.keys() <= prefix.by_sid.keys()
+            # no sid is kept without rows, since vertical support counts sids
+            assert all(ext.by_sid.values())
 
 
 def test_extend_prefix_is_extend_vdb_for_each_frequent_candidate():
@@ -393,18 +396,6 @@ def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
     monkeypatch.setattr("tirpmine.vertical.latest_starts", earliest_starts)
     mismatches, _, _ = _reach_mismatches(range(60))
     assert mismatches > 0
-
-
-def _scan_join(prefix, single, c):
-    """The join as a scan of every later candidate row, with no window."""
-    joined = {}
-    for sid, prefix_rows in prefix.by_sid.items():
-        rows = [(r, q.eid, rel) for r in prefix_rows for q in single.by_sid.get(sid, ())
-                if q.eid > r.eid and (rel := check_extension_validity(
-                    Span(r.start_t, r.end_t), Span(q.start_t, q.end_t), c)) is not None]
-        if rows:
-            joined[sid] = rows
-    return joined
 
 
 def _replay_relations(seq, row: PatternOccurrence, epsilon: int) -> None:
