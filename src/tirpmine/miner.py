@@ -99,12 +99,15 @@ class MiningStats:
 
 
 def _query(qes) -> tuple[str, ...]:
-    """``qes`` as a tuple, rejecting a string: a string is a sequence of its
-    characters, so "e012" would query the events e, 0, 1 and 2."""
-    if isinstance(qes, str):
-        raise ValueError(f"query event sequence must be a tuple of event names, "
-                         f"not the string {qes!r}")
-    return tuple(qes)
+    """``qes`` as a nonempty tuple of event names, the one check of a query.
+    A string is refused: as a sequence of its characters, "e012" would
+    query the events e, 0, 1 and 2."""
+    if qes is not None and not isinstance(qes, str):
+        events = tuple(qes)
+        if events and all(isinstance(e, str) for e in events):
+            return events
+    raise ValueError(f"query event sequence must be a nonempty tuple of "
+                     f"event names, not {qes!r}")
 
 
 def contains_subsequence(events, qes) -> bool:
@@ -130,8 +133,6 @@ def usfp_filter(db: Database, qes) -> Database:
     result is ``db.restrict`` of the kept positions, which counts its
     per-event support from ``db``'s masks when every event has one."""
     qes = _query(qes)
-    if not qes:
-        raise ValueError("query event sequence must be nonempty")
     index = db.event_positions
     kept = min((index.get(e, ()) for e in qes), key=len)
     if len(qes) > 1:
@@ -215,9 +216,7 @@ def _mine_emissions(db: Database, qes, cfg: MiningConfig):
     stats = MiningStats()
     targeted = cfg.mode == MODE_TARGETED
     if targeted or cfg.mode == MODE_FULL_POST:
-        qes = _query(qes) if qes is not None else ()
-        if not qes:
-            raise ValueError("query event sequence required in targeted/full-post modes")
+        qes = _query(qes)
     # The least integer support that is at least min_sup * |DB|, with
     # min_sup read as the decimal it prints as: in floats 0.07 * 100 is
     # 7.000000000000001, which would drop a pattern held by exactly 7.

@@ -56,22 +56,30 @@ def test_targeted_and_full_post_byte_identical(example_file, tmp_path):
 
 
 def test_strategy_toggles_do_not_change_output(example_file, tmp_path):
-    _, out, _ = run_mine(example_file, tmp_path)
-    baseline = out.read_text()
-    _, out2, _ = run_mine(example_file, tmp_path, "--no-usfp")
-    assert out2.read_text() == baseline
-
-
-def test_pair_flags_restate_the_default(example_file, tmp_path):
-    """``--no-uqpp`` and ``--no-uepp`` are still accepted; both pair
-    strategies are off by default, so they change no output or counter."""
+    """``--no-usfp`` changes no output, but it does turn the sequence filter
+    off: the running example's S2 lacks the query and is dropped only with
+    the filter on."""
     def run(*extra):
         _, out, stats = run_mine(example_file, tmp_path, *extra)
-        counters = [line for line in stats.read_text().splitlines()
-                    if not line.startswith("elapsed_ms=")]
-        return out.read_text(), counters
+        kv = dict(line.split("=") for line in stats.read_text().splitlines())
+        return out.read_text(), kv["sequences_filtered"]
 
-    assert run("--no-uqpp", "--no-uepp") == run()
+    baseline, filtered = run()
+    assert filtered == "1"
+    assert run("--no-usfp") == (baseline, "0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mine", "--no-uqpp"],
+    ["mine", "--no-uepp"],
+    ["bench", "--stats", "stats.txt"],
+])
+def test_removed_settings_are_refused(example_file, capsys, argv):
+    command, *extra = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(example_file), *MINE_FLAGS, *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_stats_report_query_row_pruning(example_file, tmp_path):
@@ -109,6 +117,14 @@ def test_query_event_with_whitespace_fails(example_file, capsys):
     code = main(["mine", "--input", str(example_file), "--qes", "A, C", "--min-sup", "0.4"])
     assert code == 2
     assert "' C'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("qes", ["A,,C", "A,", ","])
+def test_query_with_an_empty_event_fails(example_file, capsys, qes):
+    # Dropping the empty name would mine a different query than the one given.
+    code = main(["mine", "--input", str(example_file), "--qes", qes, "--min-sup", "0.4"])
+    assert code == 2
+    assert "''" in capsys.readouterr().err
 
 
 def test_zero_threads_fails(example_file, capsys):

@@ -190,6 +190,30 @@ class TestMine:
         with pytest.raises(ValueError, match="tuple of event names"):
             mine(example_db, "AC", cfg)
 
+    @pytest.mark.parametrize("qes", [None, "AC", (), ("A", 1)],
+                             ids=["None", "string", "empty", "non-str event"])
+    @pytest.mark.parametrize("entry", ["targeted", "full-post", "usfp_filter",
+                                       "post_filter", "post_filter of nothing"])
+    def test_every_entry_point_rejects_a_bad_query(self, example_db, example_cfg,
+                                                   entry, qes):
+        """A query that can never match is refused with ValueError, not mined
+        to nothing, wherever it enters."""
+        full, _ = mine(example_db, None, replace(example_cfg, mode="full"))
+        calls = {
+            "targeted": lambda: mine(example_db, qes, example_cfg),
+            "full-post": lambda: mine(example_db, qes, replace(example_cfg,
+                                                               mode="full-post")),
+            "usfp_filter": lambda: usfp_filter(example_db, qes),
+            "post_filter": lambda: post_filter(full, qes),
+            "post_filter of nothing": lambda: post_filter([], qes),
+        }
+        with pytest.raises(ValueError, match="tuple of event names"):
+            calls[entry]()
+
+    def test_full_mode_needs_no_query(self, example_db, example_cfg):
+        results, stats = mine(example_db, None, replace(example_cfg, mode="full"))
+        assert results and stats.patterns == len(results)
+
     def test_bad_min_sup_rejected(self):
         with pytest.raises(ValueError, match="min_sup"):
             MiningConfig(min_sup=1.1)
