@@ -13,6 +13,7 @@ from .database import (
     serialize_database,
 )
 from .miner import (
+    MODE_FULL,
     MODES,
     VARIANTS,
     MiningConfig,
@@ -104,8 +105,10 @@ def _config(args, **fields) -> MiningConfig:
     )
 
 
-def _parse_qes(args) -> tuple[str, ...] | None:
+def _parse_qes(args, required: bool) -> tuple[str, ...] | None:
     if args.qes is None:
+        if required:
+            raise ValueError("--qes is required: only full mode mines without a query")
         return None
     qes = tuple(args.qes.split(","))
     for e in qes:
@@ -151,7 +154,7 @@ def _format_stats(stats) -> str:
 
 
 def _cmd_mine(args) -> int:
-    qes = _parse_qes(args)
+    qes = _parse_qes(args, required=args.mode != MODE_FULL)
     flags = StrategyFlags(usfp=not args.no_usfp)
     cfg = _config(args, strategies=flags, mode=args.mode)
     db = _load_db(args)
@@ -163,7 +166,6 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    qes = _parse_qes(args)
     names = [v for v in args.variants.split(",") if v]
     if not names:
         raise ValueError("--variants must name at least one variant")
@@ -171,12 +173,13 @@ def _cmd_bench(args) -> int:
         if name not in VARIANTS:
             raise ValueError(f"unknown variant {name!r} in --variants")
     base = _config(args)
+    configs = [(name, config_for_variant(name, base)) for name in names]
+    qes = _parse_qes(args, required=any(cfg.mode != MODE_FULL for _, cfg in configs))
     db = _load_db(args)
 
     rows = []
     targeted_outputs = {}
-    for name in names:
-        cfg = config_for_variant(name, base)
+    for name, cfg in configs:
         results, stats = mine(db, qes, cfg)
         rows.append((name, stats.patterns, stats.join_operations, stats.elapsed * 1000))
         if name != "fasttirp":  # full-mode output is deliberately a superset

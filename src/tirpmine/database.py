@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .model import SymbolicInterval, interval_precedes
+from .model import interval_precedes
 
 
 class DatabaseError(ValueError):
@@ -21,11 +21,11 @@ class DatabaseError(ValueError):
 @dataclass(frozen=True)
 class TimeIntervalSequence:
     sid: int
-    intervals: tuple[SymbolicInterval, ...]
+    intervals: tuple[tuple[int, int, str], ...]
 
     @property
     def events(self) -> tuple[str, ...]:
-        return tuple(i.event for i in self.intervals)
+        return tuple(event for _, _, event in self.intervals)
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ def _bitmask(positions, size: int) -> int:
     return int(digits, 2)
 
 
-def sort_intervals(intervals, epsilon: int = 0) -> list[SymbolicInterval]:
-    """Order intervals by start, then end, then event name.
+def sort_intervals(intervals, epsilon: int = 0) -> list:
+    """Order intervals, plain tuples or named, by start, end, then event name.
 
     At epsilon 0 this is a strict total order, the intervals' own tuple
     order. For epsilon > 0 quasi-equality is not transitive, so the result
@@ -168,9 +168,10 @@ def _validate(sid: int, intervals, line_no: int | None) -> None:
     """Reject an end before its start, a negative time or a duplicate interval."""
     seen = set()
     for i in intervals:
-        if i.end < i.start:
+        start, end, event = i
+        if end < start:
             problem = "end < start in"
-        elif i.start < 0:
+        elif start < 0:
             problem = "negative time in"
         elif i in seen:
             problem = "duplicate interval"
@@ -179,16 +180,16 @@ def _validate(sid: int, intervals, line_no: int | None) -> None:
             continue
         where = f" (line {line_no})" if line_no is not None else ""
         raise DatabaseError(
-            f"sequence {sid}{where}: {problem} ({i.event},{i.start},{i.end})")
+            f"sequence {sid}{where}: {problem} ({event},{start},{end})")
 
 
 def make_sequence(
     sid: int, intervals, epsilon: int = 0, line_no: int | None = None
 ) -> TimeIntervalSequence:
-    """Sort and validate raw intervals, any iterable of them, into a
-    sequence. An error names ``line_no`` if given and, of several invalid
-    intervals, the first in sorted order."""
-    intervals = sort_intervals(intervals, epsilon)
+    """Sort and validate raw ``(start, end, event)`` intervals, any iterable
+    of them, into a sequence of plain tuples. An error names ``line_no`` if
+    given and, of several invalid intervals, the first in sorted order."""
+    intervals = sort_intervals(map(tuple, intervals), epsilon)
     _validate(sid, intervals, line_no)
     return TimeIntervalSequence(sid, tuple(intervals))
 
@@ -230,7 +231,7 @@ def parse_database(text: str, epsilon: int = 0) -> Database:
                 raise DatabaseError(
                     f"line {line_no}: non-integer timestamp in {tok!r}"
                 ) from None
-            intervals.append(SymbolicInterval(start, end, names.setdefault(event, event)))
+            intervals.append((start, end, names.setdefault(event, event)))
         sequences.append(make_sequence(sid, intervals, epsilon, line_no))
     return Database(tuple(sequences))
 
@@ -238,7 +239,7 @@ def parse_database(text: str, epsilon: int = 0) -> Database:
 def serialize_database(db: Database) -> str:
     lines = []
     for seq in db.sequences:
-        body = " ".join(f"{i.event},{i.start},{i.end}" for i in seq.intervals)
+        body = " ".join(f"{event},{start},{end}" for start, end, event in seq.intervals)
         lines.append(f"{seq.sid}|{body}")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -273,10 +274,10 @@ def generate_synthetic(p: GeneratorParams) -> Database:
     alphabet = [str(i) for i in range(p.alphabet_size)]
     sequences = []
     for sid in range(1, p.num_sequences + 1):
-        chosen: set[SymbolicInterval] = set()
+        chosen: set[tuple[int, int, str]] = set()
         while len(chosen) < p.intervals_per_sequence:
             start = rng.randrange(p.max_time)
             end = start + rng.randint(1, p.max_duration)
-            chosen.add(SymbolicInterval(start, end, rng.choice(alphabet)))
+            chosen.add((start, end, rng.choice(alphabet)))
         sequences.append(make_sequence(sid, chosen))
     return Database(tuple(sequences))

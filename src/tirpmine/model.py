@@ -29,19 +29,17 @@ FOLLOWS_EPS = 1
 class SymbolicInterval(NamedTuple):
     """One event occurrence: an event type with a start and end time.
 
-    A named tuple, so it sorts by (start, end, event), the canonical interval
-    order. Construction checks nothing: ``parse_database`` and
-    ``make_sequence`` reject an end before its start, a negative time and a
-    duplicate within a sequence.
+    The input type of ``make_sequence``. A database holds plain ``(start,
+    end, event)`` tuples: they compare equal to it and sort the same way, in
+    the canonical interval order, and the garbage collector untracks them, as
+    it never does a named tuple. Construction checks nothing:
+    ``parse_database`` and ``make_sequence`` reject an end before its start,
+    a negative time and a duplicate within a sequence.
     """
 
     start: int
     end: int
     event: str
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -93,19 +91,20 @@ def compare_eps(t1: int, t2: int, epsilon: int) -> int:
     return QUASI_EQUAL
 
 
-def interval_precedes(a: SymbolicInterval, b: SymbolicInterval, epsilon: int) -> bool:
-    """Strict ordering of intervals: by start, then end, then event name.
+def interval_precedes(a, b, epsilon: int) -> bool:
+    """Strict ordering of intervals, plain tuples or named: by start, then
+    end, then event name.
 
     Returns False for a pair that is fully quasi-equal with the same event;
     the database validator rejects such duplicates upstream.
     """
-    cs = compare_eps(a.start, b.start, epsilon)
+    cs = compare_eps(a[0], b[0], epsilon)
     if cs != QUASI_EQUAL:
         return cs == PRECEDES_EPS
-    ce = compare_eps(a.end, b.end, epsilon)
+    ce = compare_eps(a[1], b[1], epsilon)
     if ce != QUASI_EQUAL:
         return ce == PRECEDES_EPS
-    return a.event < b.event
+    return a[2] < b[2]
 
 
 def _classify(a_start: int, a_end: int, b_start: int, b_end: int, epsilon: int) -> str:

@@ -37,20 +37,19 @@ def enumerate_all(
         if len(events) == max_len:
             return
         for j in range(pos + 1, len(seq.intervals)):
-            nxt = seq.intervals[j]
+            start, end, event = seq.intervals[j]
             # extension candidates are drawn from duration-valid intervals,
             # matching the join against singleton vertical databases
-            if not duration_ok(nxt.duration, c):
+            if not duration_ok(end - start, c):
                 continue
-            if _check_extension(start_t, end_t, nxt.start, nxt.end, c) is None:
+            if _check_extension(start_t, end_t, start, end, c) is None:
                 continue
-            grow(seq, j, min(start_t, nxt.start), max(end_t, nxt.end),
-                 events + (nxt.event,))
+            grow(seq, j, min(start_t, start), max(end_t, end), events + (event,))
 
     for seq in db.sequences:
-        for i, interval in enumerate(seq.intervals):
-            if duration_ok(interval.duration, c):
-                grow(seq, i, interval.start, interval.end, (interval.event,))
+        for i, (start, end, event) in enumerate(seq.intervals):
+            if duration_ok(end - start, c):
+                grow(seq, i, start, end, (event,))
 
     return {
         events: (len(s), tuple(sorted(s)))

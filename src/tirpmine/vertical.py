@@ -132,7 +132,7 @@ def build_psm(db: Database, c: Constraints,
     """
     counts: dict[tuple[str, str], int] = {}
     for seq in db.sequences:
-        scoped = [iv for iv in seq.intervals if events is None or iv.event in events]
+        scoped = [iv for iv in seq.intervals if events is None or iv[2] in events]
         if len(scoped) < 2:
             continue
         starts, ends, names = zip(*scoped)
@@ -142,12 +142,8 @@ def build_psm(db: Database, c: Constraints,
             pairs = set(combinations(names, 2))
         else:
             pairs = set()
-            # As plain tuples: the pair loop unpacks each one many times,
-            # which costs several times less for a plain tuple than for a
-            # named one.
-            intervals = list(zip(starts, ends, names))
-            for i, (a_start, a_end, a_event) in enumerate(intervals, start=1):
-                for b_start, b_end, b_event in intervals[i:]:
+            for i, (a_start, a_end, a_event) in enumerate(scoped, start=1):
+                for b_start, b_end, b_event in scoped[i:]:
                     key = (a_event, b_event)
                     if key in pairs:
                         continue

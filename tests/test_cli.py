@@ -127,6 +127,24 @@ def test_query_with_an_empty_event_fails(example_file, capsys, qes):
     assert "''" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["mine"], ["mine", "--mode", "full-post"], ["bench"],
+                                     ["bench", "--variants", "fasttirp,tatirp1"]])
+def test_missing_query_fails_before_the_database_is_read(tmp_path, capsys, command):
+    # The input does not exist, so only a check made before reading it
+    # can name --qes.
+    code = main([*command, "--input", str(tmp_path / "missing.db"), "--min-sup", "0.4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--qes" in err and "missing.db" not in err
+
+
+@pytest.mark.parametrize("command", [["mine", "--mode", "full"],
+                                     ["bench", "--variants", "fasttirp"]])
+def test_full_mode_runs_without_a_query(example_file, capsys, command):
+    assert main([*command, "--input", str(example_file), "--min-sup", "0.4"]) == 0
+    assert capsys.readouterr().out
+
+
 def test_zero_threads_fails(example_file, capsys):
     code = main(["mine", "--input", str(example_file), *MINE_FLAGS, "--threads", "0"])
     assert code == 2

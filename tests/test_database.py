@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -30,7 +31,7 @@ def test_parse_running_example_sequence_order():
     db = parse_database(EXAMPLE_TEXT)
     s1 = db.sequences[0]
     assert s1.sid == 1
-    assert [(i.start, i.end, i.event) for i in s1.intervals] == [
+    assert list(s1.intervals) == [
         (2, 10, "B"), (5, 12, "A"), (8, 18, "D"), (12, 18, "C"), (12, 20, "B"), (14, 20, "A"),
     ]
     assert len(db) == 5
@@ -90,7 +91,7 @@ def test_make_sequence_reads_any_iterable_once():
     """A generator or a one-shot iterator is sorted and validated, not
     consumed by the check and then found empty."""
     listed = make_sequence(1, [SymbolicInterval(s, s + 1, "A") for s in (2, 0, 1)])
-    assert [i.start for i in listed.intervals] == [0, 1, 2]
+    assert [start for start, _, _ in listed.intervals] == [0, 1, 2]
     assert make_sequence(1, (SymbolicInterval(s, s + 1, "A") for s in (2, 0, 1))) == listed
     assert make_sequence(1, iter(listed.intervals[::-1])) == listed
     assert make_sequence(1, iter(listed.intervals), epsilon=1) == listed
@@ -100,9 +101,26 @@ def test_make_sequence_reads_any_iterable_once():
         make_sequence(1, iter([SymbolicInterval(0, 1, "A")] * 2))
 
 
+def test_database_intervals_are_untracked_plain_tuples():
+    """Every interval a database holds is an exact tuple of atoms, which the
+    garbage collector stops tracking; it tracks a named tuple for life."""
+    made = make_sequence(1, [SymbolicInterval(2, 3, "B"), SymbolicInterval(0, 1, "A")])
+    dbs = [parse_database(EXAMPLE_TEXT), parse_database(EXAMPLE_TEXT, epsilon=1),
+           Database((made,)),
+           generate_synthetic(GeneratorParams(num_sequences=5, intervals_per_sequence=4,
+                                              alphabet_size=3, seed=2))]
+    gc.collect()
+    for db in dbs:
+        for seq in db.sequences:
+            for iv in seq.intervals:
+                assert type(iv) is tuple
+                assert not gc.is_tracked(iv)
+    assert make_sequence(1, [SymbolicInterval(0, 1, "A")]).intervals == ((0, 1, "A"),)
+
+
 def test_event_positions_list_the_sequences_holding_each_event():
     db = parse_database(EXAMPLE_TEXT)
-    events = {i.event for s in db.sequences for i in s.intervals}
+    events = {event for s in db.sequences for _, _, event in s.intervals}
     assert db.event_positions == {
         e: [p for p, s in enumerate(db.sequences) if e in s.events] for e in events}
 
@@ -181,10 +199,10 @@ def test_parse_keeps_one_string_per_event_name():
     text = "".join(f"{sid}|ev{sid % 3},0,1 ev{sid % 5},2,3 ev{sid % 3},4,5\n"
                    for sid in range(1, 31))
     db, other = parse_database(text), parse_database(text)
-    names = {id(i.event) for s in db.sequences for i in s.intervals}
+    names = {id(event) for s in db.sequences for _, _, event in s.intervals}
     assert len(names) == len(db.alphabet) == 5
     # Two parses share no name table.
-    assert names.isdisjoint(id(i.event) for s in other.sequences for i in s.intervals)
+    assert names.isdisjoint(id(event) for s in other.sequences for _, _, event in s.intervals)
 
 
 class TestSortIntervals:
@@ -274,9 +292,9 @@ class TestGenerator:
         assert len(db) == 10
         for seq in db.sequences:
             assert len(seq.intervals) == 6
-            for i in seq.intervals:
-                assert 0 <= i.start < 50
-                assert 1 <= i.duration <= 7
+            for start, end, _ in seq.intervals:
+                assert 0 <= start < 50
+                assert 1 <= end - start <= 7
         assert set(db.alphabet) <= {"0", "1", "2"}
 
     def test_degenerate_alphabet(self):

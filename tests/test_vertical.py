@@ -7,6 +7,7 @@ from tirpmine import (
     Constraints,
     GeneratorParams,
     Span,
+    SymbolicInterval,
     build_psm,
     build_singleton_vdbs,
     check_extension_validity,
@@ -126,7 +127,7 @@ class TestPsm:
         # At epsilon 1 this sorts to C, A, B, D, E: the least start (B's 4)
         # is not the first (C's 6), and the span 20 - 4 exceeds max_dura.
         db = parse_database("1|A,5,10 B,4,20 C,6,8 D,7,9 E,8,9\n", epsilon=1)
-        assert [iv.event for iv in db.sequences[0].intervals] == list("CABDE")
+        assert [event for _, _, event in db.sequences[0].intervals] == list("CABDE")
         psm = build_psm(db, Constraints(epsilon=1, max_dura=15))
         assert psm.support("A", "B") == psm.support("C", "B") == 0
         assert psm.support("C", "A") == 1
@@ -152,10 +153,11 @@ def _brute_psm(db, max_dura, events):
     counted once per sequence."""
     counts = {}
     for seq in db.sequences:
-        scoped = [iv for iv in seq.intervals if events is None or iv.event in events]
-        pairs = {(a.event, b.event)
-                 for i, a in enumerate(scoped) for b in scoped[i + 1:]
-                 if max_dura is None or max(a.end, b.end) - min(a.start, b.start) <= max_dura}
+        scoped = [iv for iv in seq.intervals if events is None or iv[2] in events]
+        pairs = {(a_event, b_event)
+                 for i, (a_start, a_end, a_event) in enumerate(scoped)
+                 for b_start, b_end, b_event in scoped[i + 1:]
+                 if max_dura is None or max(a_end, b_end) - min(a_start, b_start) <= max_dura}
         for pair in pairs:
             counts[pair] = counts.get(pair, 0) + 1
     return counts
@@ -188,12 +190,12 @@ def test_psm_matches_brute_force():
                 repeated += any(a == b for a, b in expected)
                 for seq in db.sequences:
                     scoped = [iv for iv in seq.intervals
-                              if events is None or iv.event in events]
+                              if events is None or iv[2] in events]
                     if len(scoped) >= 2:
-                        end = max(iv.end for iv in scoped)
-                        fits = max_dura is None or end - min(iv.start for iv in scoped) <= max_dura
+                        starts, ends, _ = zip(*scoped)
+                        fits = max_dura is None or max(ends) - min(starts) <= max_dura
                         seen.add((len(scoped), fits,
-                                  not fits and end - scoped[0].start <= max_dura))
+                                  not fits and max(ends) - starts[0] <= max_dura))
     assert repeated > 0
     # Both ways of forming a sequence's pairs ran, on short and long
     # sequences, and a span read from the first start would have misled.
@@ -259,12 +261,13 @@ def test_extension_invariants_on_random_dbs(seed):
                 seq = sequences[sid]
                 expected = [(id(p), q.eid) for p in prefix_rows
                             for q in single.by_sid.get(sid, ()) if q.eid > p.eid
-                            and check_extension_validity(Span(p.start_t, p.end_t),
-                                                         seq.intervals[q.eid - 1],
-                                                         constraints) is not None]
+                            and check_extension_validity(
+                                Span(p.start_t, p.end_t),
+                                SymbolicInterval(*seq.intervals[q.eid - 1]),
+                                constraints) is not None]
                 rows = ext.by_sid.get(sid, [])
                 assert [(id(r.prefix), r.eid) for r in rows] == expected
-                assert all(seq.intervals[r.eid - 1].event == cand for r in rows)
+                assert all(seq.intervals[r.eid - 1][2] == cand for r in rows)
             assert ext.by_sid.keys() <= prefix.by_sid.keys()
             # no sid is kept without rows, since vertical support counts sids
             assert all(ext.by_sid.values())
@@ -400,10 +403,9 @@ def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
 
 def _replay_relations(seq, row: PatternOccurrence, epsilon: int) -> None:
     """Re-derive a row's stored relations from its source intervals."""
-    first = seq.intervals[row.sources[0] - 1]
-    lo, hi = first.start, first.end
+    lo, hi, _ = seq.intervals[row.sources[0] - 1]
     for rel, pos in zip(row.relations, row.sources[1:]):
-        nxt = seq.intervals[pos - 1]
+        nxt = SymbolicInterval(*seq.intervals[pos - 1])
         assert classify_relation(Span(lo, hi), nxt, epsilon) == rel
         lo, hi = min(lo, nxt.start), max(hi, nxt.end)
     assert (lo, hi) == (row.start_t, row.end_t)
