@@ -1,20 +1,22 @@
 """Vertical databases of patterns and the pair support matrix.
 
-A vertical database holds one pattern's occurrences grouped by sequence id,
-``sid -> [occurrence, ...]``, with no empty lists, so its vertical support
+A vertical database holds one pattern's rows grouped by sequence id,
+``sid -> [row, ...]``, with no empty lists, so its vertical support
 is its number of keys. Singleton lists are in ascending ``eid`` order.
 
-An occurrence records where one embedding of a pattern lives inside one
-sequence: positions are 1-based, ``eid`` is the position of the last source
-interval, and ``start_t``/``end_t`` are the composite envelope. An extended
-occurrence keeps only its last step's relation and a link to the prefix
-occurrence it extends; its relations and source positions are read back
-through those links, so a new occurrence costs O(1) at any depth.
+A row records one embedding of a pattern in one sequence as a plain tuple
+``(sid, eid, start_t, end_t, relation, prefix)``: positions are 1-based,
+``eid`` is the position of the last source interval, and ``start_t``/``end_t``
+are the composite envelope. An extended row keeps only its last step's
+relation and a link to the prefix row it extends, so a new row costs O(1)
+at any depth. ``VerticalDatabase.rows`` returns the rows as
+``PatternOccurrence``s, the named type with the same fields, whose
+relations and source positions are read back through the links.
 
 A prefix is grown by all its candidate events at once: ``extend_prefix``
 scans each prefix row's own sequence over the intervals the row can reach,
 those after it whose start lies within the gap and duration bounds of its
-envelope, and builds rows only for the candidates that reach the support
+envelope, and returns rows only for the candidates that reach the support
 threshold. Given a ``QueryReach``, the scan also drops every row after
 which its sequence no longer holds the unmatched rest of the query (query
 row pruning). ``extend_vdb`` joins a prefix with one candidate's singleton
@@ -33,38 +35,39 @@ from .database import Database
 
 
 class PatternOccurrence(NamedTuple):
+    """A row with named fields; its prefix link is a plain row."""
     sid: int
     eid: int
     start_t: int
     end_t: int
     relation: str | None = None  # relation of the last step; None for a singleton
-    prefix: PatternOccurrence | None = None
+    prefix: tuple | None = None
 
-    def _chain(self) -> list[PatternOccurrence]:
-        """This occurrence and its prefixes, last step first."""
+    def _chain(self) -> list[tuple]:
+        """This occurrence and its prefix rows, last step first."""
         chain = [self]
-        while chain[-1].prefix is not None:
-            chain.append(chain[-1].prefix)
+        while chain[-1][5] is not None:
+            chain.append(chain[-1][5])
         return chain
 
     @property
     def relations(self) -> tuple[str, ...]:
-        return tuple(r.relation for r in reversed(self._chain()[:-1]))
+        return tuple(r[4] for r in reversed(self._chain()[:-1]))
 
     @property
     def sources(self) -> tuple[int, ...]:
-        return tuple(r.eid for r in reversed(self._chain()))
+        return tuple(r[1] for r in reversed(self._chain()))
 
 
 @dataclass
 class VerticalDatabase:
     events: tuple[str, ...]
-    by_sid: dict[int, list[PatternOccurrence]]
+    by_sid: dict[int, list[tuple]]  # rows in PatternOccurrence's field order
 
     @property
     def rows(self) -> list[PatternOccurrence]:
-        """All occurrences, grouped by sequence in insertion order."""
-        return [r for rows in self.by_sid.values() for r in rows]
+        """All rows as occurrences, grouped by sequence in insertion order."""
+        return [PatternOccurrence._make(r) for rows in self.by_sid.values() for r in rows]
 
     def vertical_support(self) -> int:
         return len(self.by_sid)
@@ -98,12 +101,12 @@ def build_singleton_vdbs(db: Database, c: Constraints,
     puts in at least ``threshold`` sequences, since the duration filter can
     only lower that count."""
     wanted = {e for e, support in db.event_support.items() if support >= threshold}
-    groups: dict[str, dict[int, list[PatternOccurrence]]] = {}
+    groups: dict[str, dict[int, list[tuple]]] = {}
     for seq in db.sequences:
         for pos, (start, end, event) in enumerate(seq.intervals, start=1):
             if event in wanted and duration_ok(end - start, c):
                 groups.setdefault(event, {}).setdefault(seq.sid, []).append(
-                    PatternOccurrence(seq.sid, pos, start, end))
+                    (seq.sid, pos, start, end, None, None))
     return {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()
             if len(by_sid) >= threshold}
 
@@ -174,13 +177,12 @@ def extend_vdb(
     This is the reference ``extend_prefix`` is tested against, so it shares
     none of its window logic.
     """
-    by_sid: dict[int, list[PatternOccurrence]] = {}
+    by_sid: dict[int, list[tuple]] = {}
     for sid, prefix_rows in prefix.by_sid.items():
-        rows = [PatternOccurrence(sid, q.eid, min(r.start_t, q.start_t),
-                                  max(r.end_t, q.end_t), rel, r)
+        rows = [(sid, q[1], min(r[2], q[2]), max(r[3], q[3]), rel, r)
                 for r in prefix_rows for q in singleton.by_sid.get(sid, ())
-                if q.eid > r.eid and (rel := _check_extension(
-                    r.start_t, r.end_t, q.start_t, q.end_t, c)) is not None]
+                if q[1] > r[1] and (rel := _check_extension(
+                    r[2], r[3], q[2], q[3], c)) is not None]
         if rows:
             by_sid[sid] = rows
     return VerticalDatabase(prefix.events + (candidate,), by_sid)
@@ -258,11 +260,10 @@ def extend_prefix(
     duration is at least min_dura. (A duration over max_dura needs no check
     here, since it makes every composite holding the interval too long.)
 
-    Hits are kept as plain tuples, and occurrences are made only for the
-    events that reach ``threshold``. Once an event's sequences found plus
-    the prefix's sequences left fall short of it, the event is dropped
-    from the scan with its hits, and the scan ends when none is left. An
-    event with no hit is never returned, whatever the threshold.
+    Hits are built as rows. Once an event's sequences found plus the
+    prefix's sequences left fall short of ``threshold``, the event is
+    dropped from the scan with its hits, and the scan ends when none is
+    left. An event with no hit is never returned, whatever the threshold.
 
     Query row pruning: while ``match`` is short of the query, with ``q``
     the next query event and ``table`` the row's sequence's
@@ -343,7 +344,5 @@ def extend_prefix(
         reach.pruned += pruned
     # Every event still in hits has reached the threshold: after the last
     # sequence, one short of it would have been dropped.
-    make = PatternOccurrence._make
-    return {event: VerticalDatabase(prefix.events + (event,),
-                                    {sid: list(map(make, rows)) for sid, rows in by_sid.items()})
+    return {event: VerticalDatabase(prefix.events + (event,), by_sid)
             for event, by_sid in hits.items()}

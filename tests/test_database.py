@@ -76,6 +76,18 @@ def test_error_names_offending_line_number():
         parse_database("1|A,0,5\n2|B,0,5\n3|A,9,4\n")
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_database_rejects_duplicate_sequence_ids(reverse):
+    """Two sequences with one sid are refused in either order; mined, their
+    output would depend on the order."""
+    pair = (make_sequence(1, [(0, 5, "A"), (6, 9, "B")]), make_sequence(1, [(0, 5, "C")]))
+    with pytest.raises(DatabaseError, match="^duplicate sequence id 1$"):
+        Database(pair[::-1] if reverse else pair)
+    # The parser's own check fires first and names the line.
+    with pytest.raises(DatabaseError, match="^line 2: duplicate sequence id 1$"):
+        parse_database("1|A,0,5 B,6,9\n1|C,0,5\n")
+
+
 def test_make_sequence_rejects_what_parse_rejects():
     """Both ways of building a sequence run the same checks."""
     for body, fragment in [("A,10,5", "end < start"), ("A,-1,5", "negative time"),
@@ -222,6 +234,14 @@ class TestSortIntervals:
         raw = [SymbolicInterval(0, 3, "B"), SymbolicInterval(1, 2, "A")]
         once = sort_intervals(raw)
         assert sort_intervals(once) == once
+
+    def test_negative_epsilon_is_rejected(self):
+        raw = [SymbolicInterval(5, 10, e) for e in "ABC"]
+        for build in (lambda: sort_intervals(raw, epsilon=-1),
+                      lambda: make_sequence(1, raw, epsilon=-1),
+                      lambda: parse_database("1|A,5,10 B,5,10 C,5,10", epsilon=-1)):
+            with pytest.raises(ValueError, match="^epsilon must be >= 0$"):
+                build()
 
 
 interval_sets = st.sets(

@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import replace
 
@@ -234,6 +235,36 @@ class TestExtendVdb:
                     assert r.sources[-2] < r.eid == r.sources[-1]
 
 
+def test_rows_are_untracked_plain_tuples(example_db):
+    """Every stored row, at depths 1 to 3, is an exact tuple, which the
+    garbage collector stops tracking once its prefix row is untracked, one
+    depth per collection; it tracks a named tuple for life. ``rows`` gives
+    the stored rows, in order, as occurrences."""
+    c = EXAMPLE_CONSTRAINTS
+    singletons = build_singleton_vdbs(example_db, c)
+    cb = extend_vdb(singletons["C"], "B", singletons["B"], c)
+    vdbs = [*singletons.values(), cb,
+            *extend_prefix(singletons["C"], sorted(singletons), example_db, c, 1).values(),
+            *extend_prefix(cb, sorted(singletons), example_db, c, 1).values()]
+    assert {len(v.events) for v in vdbs} == {1, 2, 3}
+    stored = [[r for rows in v.by_sid.values() for r in rows] for v in vdbs]
+    for _ in range(3):
+        gc.collect()
+    for rows in stored:
+        for r in rows:
+            assert type(r) is tuple
+            assert not gc.is_tracked(r)
+    for v, rows in zip(vdbs, stored):
+        assert v.rows == rows
+        for r in v.rows:
+            assert type(r) is PatternOccurrence
+            _replay_relations(example_db.sequence_by_sid[r.sid], r, c.epsilon)
+    for v in singletons.values():
+        assert all(r.relations == () and r.sources == (r.eid,) for r in v.rows)
+    (row,) = [r for r in cb.rows if r.sid == 1]
+    assert (row.relations, row.sources) == (("s",), (4, 5))
+
+
 # Seeds from 25 on run at epsilon 2, where starts in eid order can fall.
 @pytest.mark.parametrize("seed", range(35))
 def test_extension_invariants_on_random_dbs(seed):
@@ -259,15 +290,16 @@ def test_extension_invariants_on_random_dbs(seed):
             # row, once, in prefix-row then eid order, and nothing else is
             for sid, prefix_rows in prefix.by_sid.items():
                 seq = sequences[sid]
-                expected = [(id(p), q.eid) for p in prefix_rows
-                            for q in single.by_sid.get(sid, ()) if q.eid > p.eid
+                # A stored row is (sid, eid, start_t, end_t, relation, prefix).
+                expected = [(id(p), q[1]) for p in prefix_rows
+                            for q in single.by_sid.get(sid, ()) if q[1] > p[1]
                             and check_extension_validity(
-                                Span(p.start_t, p.end_t),
-                                SymbolicInterval(*seq.intervals[q.eid - 1]),
+                                Span(p[2], p[3]),
+                                SymbolicInterval(*seq.intervals[q[1] - 1]),
                                 constraints) is not None]
                 rows = ext.by_sid.get(sid, [])
-                assert [(id(r.prefix), r.eid) for r in rows] == expected
-                assert all(seq.intervals[r.eid - 1][2] == cand for r in rows)
+                assert [(id(r[5]), r[1]) for r in rows] == expected
+                assert all(seq.intervals[r[1] - 1][2] == cand for r in rows)
             assert ext.by_sid.keys() <= prefix.by_sid.keys()
             # no sid is kept without rows, since vertical support counts sids
             assert all(ext.by_sid.values())
@@ -368,7 +400,7 @@ def _reach_mismatches(seeds):
                     after = match + (match < len(query) and e == query[match])
                     full = extend_vdb(prefix, e, singletons[e], c).by_sid
                     kept = {sid: [r for r in rows
-                                  if _embeds_after(sequences[sid].events, r.eid, query[after:])]
+                                  if _embeds_after(sequences[sid].events, r[1], query[after:])]
                             for sid, rows in full.items()}
                     kept = {sid: rows for sid, rows in kept.items() if rows}
                     filtered += kept != full
