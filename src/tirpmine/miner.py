@@ -162,6 +162,7 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats) -> list[ST
     flags, c, max_len = cfg.strategies, cfg.constraints, cfg.max_pattern_length
     # One query's row bounds, built per sequence as the search first needs them.
     reach = QueryReach(qes) if flags.uqrp and qes else None
+    rank = {f: i for i, f in enumerate(sf)}
 
     def children(prefix, last, match):
         # A join is one (prefix, candidate) pair that extension pruning
@@ -176,10 +177,9 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats) -> list[ST
             return
         stats.join_operations += len(joined)
         exts = extend_prefix(prefix, joined, working, c, threshold, reach, match)
-        for f in joined:
-            ext = exts.pop(f, None)
-            if ext is not None:
-                yield ext, match
+        # Few candidates come back: visit those, in sf order.
+        for f in sorted(exts, key=rank.__getitem__):
+            yield exts.pop(f), match
 
     stack = [iter([(singletons[e], 0) for e in sf])]
     while stack:

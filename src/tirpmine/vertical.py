@@ -19,9 +19,10 @@ those after it whose start lies within the gap and duration bounds of its
 envelope, and returns rows only for the candidates that reach the support
 threshold. Given a ``QueryReach``, the scan also drops every row after
 which its sequence no longer holds the unmatched rest of the query (query
-row pruning). ``extend_vdb`` joins a prefix with one candidate's singleton
-rows by a plain scan of every later row; it is the reference the scan is
-tested against.
+row pruning). The scan applies the extension rule inline, with its own
+comparisons. ``extend_vdb`` joins a prefix with one candidate's singleton
+rows by a plain scan of every later row, through ``model._check_extension``;
+together they are the independent reference the scan is tested against.
 """
 from __future__ import annotations
 
@@ -30,7 +31,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .model import Constraints, _check_extension, duration_ok
+from .model import (
+    BEFORE,
+    CONTAIN,
+    EQUAL,
+    FINISHED_BY,
+    LEFT_CONTAIN,
+    MEET,
+    OVERLAP,
+    STARTS,
+    Constraints,
+    _check_extension,
+)
 from .database import Database
 
 
@@ -79,6 +91,9 @@ class VerticalDatabase:
         return sorted(self.by_sid)
 
 
+_UNBOUNDED = float("inf")
+
+
 class PairSupportMatrix:
     """Vertical support of ordered event pairs, used as a pruning upper bound."""
 
@@ -101,12 +116,21 @@ def build_singleton_vdbs(db: Database, c: Constraints,
     puts in at least ``threshold`` sequences, since the duration filter can
     only lower that count."""
     wanted = {e for e, support in db.event_support.items() if support >= threshold}
+    min_dura = c.min_dura
+    max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
     groups: dict[str, dict[int, list[tuple]]] = {}
     for seq in db.sequences:
+        sid = seq.sid
         for pos, (start, end, event) in enumerate(seq.intervals, start=1):
-            if event in wanted and duration_ok(end - start, c):
-                groups.setdefault(event, {}).setdefault(seq.sid, []).append(
-                    (seq.sid, pos, start, end, None, None))
+            if event in wanted and min_dura <= end - start <= max_dura:
+                row = (sid, pos, start, end, None, None)
+                by_sid = groups.get(event)
+                if by_sid is None:
+                    groups[event] = {sid: [row]}
+                elif (rows := by_sid.get(sid)) is None:
+                    by_sid[sid] = [row]
+                else:
+                    rows.append(row)
     return {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()
             if len(by_sid) >= threshold}
 
@@ -156,9 +180,6 @@ def build_psm(db: Database, c: Constraints,
         for key in pairs:
             counts[key] = counts.get(key, 0) + 1
     return PairSupportMatrix(counts)
-
-
-_UNBOUNDED = float("inf")
 
 
 def extend_vdb(
@@ -260,10 +281,14 @@ def extend_prefix(
     duration is at least min_dura. (A duration over max_dura needs no check
     here, since it makes every composite holding the interval too long.)
 
-    Hits are built as rows. Once an event's sequences found plus the
-    prefix's sequences left fall short of ``threshold``, the event is
-    dropped from the scan with its hits, and the scan ends when none is
-    left. An event with no hit is never returned, whatever the threshold.
+    The extension rule is applied inline, by the same comparisons as
+    ``model._check_extension``, whose callers ``extend_vdb`` and the oracle
+    are the independent reference this scan is tested against. Hits are
+    built as rows. Once an event's sequences found plus the prefix's
+    sequences left fall short of ``threshold``, the event is dropped from
+    the scan with its hits, and the scan ends when none is left; only the
+    events with hits are counted again, since any other falls short first.
+    An event with no hit is never returned, whatever the threshold.
 
     Query row pruning: while ``match`` is short of the query, with ``q``
     the next query event and ``table`` the row's sequence's
@@ -281,9 +306,10 @@ def extend_prefix(
     rest = reach is not None and match < len(reach.qes)
     q = reach.qes[match] if rest else None
     pruned = 0
-    min_dura = c.min_dura
-    gap_reach = _UNBOUNDED if c.max_gap is None else max(c.max_gap, c.epsilon)
-    dura_reach = _UNBOUNDED if c.max_dura is None else c.max_dura
+    epsilon, min_gap, min_dura = c.epsilon, c.min_gap, c.min_dura
+    max_gap = _UNBOUNDED if c.max_gap is None else c.max_gap
+    max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
+    gap_reach = max(max_gap, epsilon)
     hits: dict[str, dict[int, list[tuple]]] = {}
     left, least = len(prefix.by_sid), 0
     sequences, start_minima = db.sequence_by_sid, db.start_minima
@@ -305,8 +331,8 @@ def extend_prefix(
                 pruned += 1
                 continue
             limit = end_t + gap_reach
-            if start_t + dura_reach < limit:
-                limit = start_t + dura_reach
+            if start_t + max_dura < limit:
+                limit = start_t + max_dura
             # Position eid + 1 is index eid.
             if eid == n or minima[eid] > limit:
                 continue
@@ -314,17 +340,38 @@ def extend_prefix(
             if hi > cap:
                 hi = cap
                 pruned += 1
-            for q_eid, (q_start, q_end, event) in enumerate(intervals[eid:hi], eid + 1):
+            q_eid = eid
+            for q_start, q_end, event in intervals[eid:hi]:
+                q_eid += 1
                 if event not in wanted or q_end - q_start < min_dura:
                     continue
                 if q_eid >= b_other and event != q:
                     pruned += 1
                     continue
-                rel = _check_extension(start_t, end_t, q_start, q_end, c)
-                if rel is None:
+                # The extension rule, by the comparisons of model._classify
+                # and model._check_extension.
+                if start_t - q_start > epsilon:
+                    continue  # the ordering precondition fails
+                gap = q_start - end_t
+                if gap > epsilon:
+                    if gap < min_gap or gap > max_gap:
+                        continue
+                    rel = BEFORE
+                elif -gap <= epsilon:
+                    rel = MEET
+                elif q_start - start_t <= epsilon:  # the starts are quasi-equal
+                    d = q_end - end_t
+                    rel = STARTS if d > epsilon else LEFT_CONTAIN if -d > epsilon else EQUAL
+                else:
+                    d = q_end - end_t
+                    rel = OVERLAP if d > epsilon else CONTAIN if -d > epsilon else FINISHED_BY
+                lo = q_start if q_start < start_t else start_t
+                up = q_end if q_end > end_t else end_t
+                # The composite lasts at least as long as the interval, which
+                # passed min_dura above, so only max_dura can fail it.
+                if up - lo > max_dura:
                     continue
-                hit = (sid, q_eid, q_start if q_start < start_t else start_t,
-                       q_end if q_end > end_t else end_t, rel, r)
+                hit = (sid, q_eid, lo, up, rel, r)
                 rows = found.get(event)
                 if rows is None:
                     found[event] = [hit]
@@ -334,12 +381,13 @@ def extend_prefix(
             hits.setdefault(event, {})[sid] = rows
         left -= 1
         if least + left < threshold:
-            for event in [e for e in wanted if len(hits.get(e, ())) + left < threshold]:
-                wanted.discard(event)
-                hits.pop(event, None)
-            if not wanted:
+            # need > 0 here, so an event without hits goes too.
+            need = threshold - left
+            hits = {e: by_sid for e, by_sid in hits.items() if len(by_sid) >= need}
+            if not hits:
                 break
-            least = min(len(hits[e]) for e in wanted)
+            wanted = set(hits)
+            least = min(map(len, hits.values()))
     if reach is not None:
         reach.pruned += pruned
     # Every event still in hits has reached the threshold: after the last

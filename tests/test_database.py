@@ -183,6 +183,35 @@ def test_restrict_with_every_event_masked_carries_support():
     assert db.restrict(range(len(db))) is db
 
 
+def test_restrict_is_the_database_of_the_kept_sequences_without_a_second_check(
+        monkeypatch):
+    """Every subset of a checked database restricts to the database built
+    from its sequences, equal and hashing alike, and none is refused; the
+    sid check of ``Database.__post_init__`` is not run again."""
+    dbs = [parse_database(EXAMPLE_TEXT), _own_and_shared(70),
+           generate_synthetic(GeneratorParams(12, 4, 3, seed=5))]
+    built = {id(db): [Database(tuple(db.sequences[p] for p in positions))
+                      for positions in _subsets(len(db))] for db in dbs}
+
+    def refuse(self):
+        raise AssertionError("restrict re-ran the sid check")
+
+    monkeypatch.setattr(Database, "__post_init__", refuse)
+    for db in dbs:
+        for positions, expected in zip(_subsets(len(db)), built[id(db)]):
+            kept = db.restrict(positions)
+            assert kept == expected and hash(kept) == hash(expected)
+            assert type(kept) is Database
+
+
+def _subsets(n: int):
+    """Every subset of ``range(n)`` for n up to 5; for larger n the empty,
+    single, alternate, all-but-one and full position lists."""
+    if n <= 5:
+        return [[p for p in range(n) if mask >> p & 1] for mask in range(1 << n)]
+    return [[], [0], [n - 1], list(range(0, n, 2)), list(range(1, n)), list(range(n))]
+
+
 @pytest.mark.parametrize("positions", [[6], range(0, 20_000, 2)])
 def test_restrict_with_an_unmasked_event_counts_the_kept_sequences(positions):
     # 20,000 of the 20,001 events have no mask, so the kept sequences'

@@ -6,6 +6,7 @@ import pytest
 
 from tirpmine import (
     Constraints,
+    Database,
     GeneratorParams,
     Span,
     SymbolicInterval,
@@ -19,7 +20,9 @@ from tirpmine import (
     serialize_database,
     usfp_filter,
 )
+from tirpmine.database import make_sequence
 from tirpmine.miner import contains_subsequence
+from tirpmine.model import RELATIONS
 from tirpmine.vertical import (
     PatternOccurrence,
     QueryReach,
@@ -341,6 +344,48 @@ def test_extend_prefix_is_extend_vdb_for_each_frequent_candidate():
     # of it was met, and the single-interval duration filter changed a join.
     assert at_threshold > 0 and below > 0
     assert dura_binds > 0
+
+
+@pytest.mark.parametrize("epsilon", [0, 1, 2])
+def test_extend_prefix_applies_the_rule_of_extend_vdb_at_every_edge(epsilon):
+    """The scan's inline extension rule against ``extend_vdb``'s, on every
+    two-interval sequence of a time grid up to translation: an A starting
+    at epsilon and a B anywhere, either of which may sort first. The grid
+    is wide enough for an overlap at epsilon. A prefix row ends at the
+    first interval, with every envelope that starts with it and ends no
+    earlier, as a composite ending there may have; without the wider ones
+    no pair is left-contained. Each bound is swept over every value its edges take on
+    the grid and one past it, so every pair meets each bound at, one below
+    and one above its own gap or duration. Rows, relation letters included,
+    must be equal; all eight relations occur and each bound drops some row."""
+    grid = 4 * epsilon + 5
+    spans = [(s, e) for s in range(grid + 1) for e in range(s, grid + 1)]
+    db = Database(tuple(
+        make_sequence(sid, [(epsilon, end, "A"), (*b, "B")], epsilon)
+        for sid, (end, b) in enumerate(
+            ((end, b) for end in range(epsilon, grid + 1) for b in spans), start=1)))
+    prefix = VerticalDatabase(("P",), {
+        seq.sid: [(seq.sid, 1, start, up, None, None) for up in range(end, grid + 1)]
+        for seq in db.sequences for start, end, _ in seq.intervals[:1]})
+    relations, rows_at = set(), {}
+    bounds = [("none", None)] + [(name, v) for name in (
+        "min_gap", "max_gap", "min_dura", "max_dura") for v in range(grid + 2)]
+    for name, value in bounds:
+        c = Constraints(epsilon=epsilon, **({} if value is None else {name: value}))
+        singletons = build_singleton_vdbs(db, c)
+        events = sorted(singletons)
+        want = {e: ext for e in events
+                if (ext := extend_vdb(prefix, e, singletons[e], c)).by_sid}
+        got = extend_prefix(prefix, events, db, c, 1)
+        assert got.keys() == want.keys()
+        for e, ext in got.items():
+            assert list(ext.by_sid.items()) == list(want[e].by_sid.items())
+            relations.update(r[4] for rows in ext.by_sid.values() for r in rows)
+        rows_at[name, value] = sum(len(rows) for ext in got.values()
+                                   for rows in ext.by_sid.values())
+    assert relations == set(RELATIONS)
+    for name in ("min_gap", "max_gap", "min_dura", "max_dura"):
+        assert any(rows_at[name, v] < rows_at["none", None] for v in range(grid + 2)), name
 
 
 def _embeds_after(events, pos, rest) -> bool:
