@@ -148,37 +148,36 @@ def post_filter(results, qes) -> list[STirpResult]:
     return [r for r in results if contains_subsequence(r.events, qes)]
 
 
-def _search(qes, working, sf, singletons, psm, threshold, cfg, stats) -> list[STirpResult]:
-    """Grow every frequent seed depth-first and return the emitted results.
+def _search(qes, working, sf, singletons, psm, threshold, cfg, stats):
+    """Grow the seeds ``sf`` depth-first and yield each result as it is
+    reached. Children are visited in event-name order, so with ``sf``
+    sorted too the walk yields in ``sorted(key=events)`` order: a prefix
+    sorts before its extensions, and ``(P, a, ...)`` before ``(P, b)`` when
+    ``a < b``. No event sequence is reached twice.
 
     The stack holds one generator of frequent children per level, and
     depth is not bounded by recursion. A level's children are all joined
     in one scan of the prefix's rows when the level is entered, and each is
     dropped by its generator once yielded. An empty ``qes`` disables query
     tracking (full mining): every node matches. ``psm`` is read only when
-    UQPP or UEPP is on.
+    UQPP or UEPP is on. ``stats`` is complete once the generator is done.
     """
-    emissions: list[STirpResult] = []
     flags, c, max_len = cfg.strategies, cfg.constraints, cfg.max_pattern_length
     # One query's row bounds, built per sequence as the search first needs them.
     reach = QueryReach(qes) if flags.uqrp and qes else None
-    rank = {f: i for i, f in enumerate(sf)}
 
     def children(prefix, last, match):
         # A join is one (prefix, candidate) pair that extension pruning
         # keeps, although all of a prefix's joins share one scan.
-        joined = []
-        for f in sf:
-            if flags.uepp and psm.support(last, f) < threshold:
-                stats.pruned_uepp += 1
-                continue
-            joined.append(f)
+        joined = sf
+        if flags.uepp:
+            joined = [f for f in sf if psm.support(last, f) >= threshold]
+            stats.pruned_uepp += len(sf) - len(joined)
         if not joined:
             return
         stats.join_operations += len(joined)
         exts = extend_prefix(prefix, joined, working, c, threshold, reach, match)
-        # Few candidates come back: visit those, in sf order.
-        for f in sorted(exts, key=rank.__getitem__):
+        for f in sorted(exts):
             yield exts.pop(f), match
 
     stack = [iter([(singletons[e], 0) for e in sf])]
@@ -192,8 +191,8 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats) -> list[ST
         if match < len(qes) and last == qes[match]:
             match += 1
         if match == len(qes):
-            emissions.append(STirpResult(prefix.events, prefix.vertical_support(),
-                                         tuple(prefix.supporting_sids())))
+            yield STirpResult(prefix.events, prefix.vertical_support(),
+                              tuple(prefix.supporting_sids()))
         elif flags.uqpp and psm.support(last, qes[match]) < threshold:
             stats.pruned_uqpp += 1
             continue
@@ -201,18 +200,12 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats) -> list[ST
             stack.append(children(prefix, last, match))
     if reach is not None:
         stats.pruned_uqrp = reach.pruned
-    return emissions
 
 
-def _frequent_events(singletons) -> list[str]:
-    """The events of the frequent singletons, most frequent first. The
-    output set of the miner does not depend on this order; only traversal
-    order does."""
-    return sorted(singletons, key=lambda e: (-singletons[e].vertical_support(), e))
-
-
-def _mine_emissions(db: Database, qes, cfg: MiningConfig):
-    """Run the pipeline and return the emissions, in search order, and stats."""
+def _mine_stream(db: Database, qes, cfg: MiningConfig):
+    """Check the inputs and set the search up, eagerly. Return the results in
+    output order, as an iterator, and stats that lack only patterns and elapsed
+    once it is exhausted."""
     stats = MiningStats()
     targeted = cfg.mode == MODE_TARGETED
     if targeted or cfg.mode == MODE_FULL_POST:
@@ -227,23 +220,23 @@ def _mine_emissions(db: Database, qes, cfg: MiningConfig):
         working = usfp_filter(db, qes)
         stats.sequences_filtered = len(db) - len(working)
         if len(working) < threshold:
-            return [], stats
+            return iter(()), stats
 
     c = cfg.constraints
     singletons = build_singleton_vdbs(working, c, threshold)
-    sf = _frequent_events(singletons)
-    if not sf:
-        return [], stats
+    sf = sorted(singletons)
     # The search reads the matrix only at (frequent, frequent) and
     # (frequent, query event); infrequent query events stay in scope so
     # that query pruning reads the same support as over all events.
     search_qes = qes if targeted else ()
     flags = cfg.strategies
     psm = (build_psm(working, c, set(sf).union(search_qes))
-           if flags.uqpp or flags.uepp else None)
+           if sf and (flags.uqpp or flags.uepp) else None)
 
-    emissions = _search(search_qes, working, sf, singletons, psm, threshold, cfg, stats)
-    return emissions, stats
+    results = _search(search_qes, working, sf, singletons, psm, threshold, cfg, stats)
+    if cfg.mode == MODE_FULL_POST:
+        results = (r for r in results if contains_subsequence(r.events, qes))
+    return results, stats
 
 
 def mine(db: Database, qes, cfg: MiningConfig):
@@ -254,12 +247,8 @@ def mine(db: Database, qes, cfg: MiningConfig):
     filters by the query.
     """
     t0 = time.perf_counter()
-    emissions, stats = _mine_emissions(db, qes, cfg)
-    # Each event sequence is reached from one seed along one path, so the
-    # emissions are already unique (test_dedup_is_noop pins this).
-    results = sorted(emissions, key=lambda r: r.events)
-    if cfg.mode == MODE_FULL_POST:
-        results = post_filter(results, qes)
+    stream, stats = _mine_stream(db, qes, cfg)
+    results = list(stream)
     stats.patterns = len(results)
     stats.elapsed = time.perf_counter() - t0
     return results, stats

@@ -20,6 +20,13 @@ def example_file(tmp_path):
     return path
 
 
+def module_env():
+    """The environment in which ``python -m tirpmine`` imports this checkout."""
+    src = Path(cli.__file__).parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def run_mine(example_file, tmp_path, *extra):
     out = tmp_path / "out.tsv"
     stats = tmp_path / "stats.txt"
@@ -177,6 +184,38 @@ def test_deep_meeting_chain_does_not_recurse(tmp_path):
     assert len(out.read_text().splitlines()) == 300
 
 
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # About 670 kB of results, ten times a pipe's buffer: the reader's close
+    # comes while mine is still writing.
+    db = tmp_path / "gen.db"
+    assert main(["gen", "--sequences", "300", "--intervals", "14", "--alphabet", "6",
+                 "--seed", "1", "--output", str(db)]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tirpmine", "mine", "--mode", "full", "--input", str(db),
+         "--min-sup", "0.05"],
+        env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert len(proc.stdout.readline().split("\t")) == 3
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2
+    assert err == "tirpmine mine: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("db_text, extra", [(EXAMPLE_TEXT + "6|A,5,2\n", []),
+                                            (EXAMPLE_TEXT, ["--min-sup", "2"])],
+                         ids=["malformed-line", "min-sup-2"])
+def test_refused_run_leaves_the_output_file_as_it_was(tmp_path, db_text, extra):
+    db, out = tmp_path / "in.db", tmp_path / "out.tsv"
+    db.write_text(db_text)
+    out.write_bytes(b"kept\n")
+    assert main(["mine", "--input", str(db), *MINE_FLAGS, "--output", str(out), *extra]) == 2
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_malformed_input_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.db"
     bad.write_text("1|A,5,2\n")
@@ -281,14 +320,11 @@ class TestGen:
                      "--min-sup", "0.2", "--output", str(out)]) == 0
 
     def test_runs_as_a_module(self, tmp_path):
-        src = Path(cli.__file__).parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         db_path = tmp_path / "gen.db"
         done = subprocess.run(
             [sys.executable, "-m", "tirpmine", "gen", "--sequences", "3", "--intervals", "4",
              "--alphabet", "2", "--output", str(db_path)],
-            env=env, capture_output=True, text=True, timeout=60)
+            env=module_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert len(db_path.read_text().splitlines()) == 3
 

@@ -22,8 +22,9 @@ from tirpmine import (
     post_filter,
     usfp_filter,
 )
+from tirpmine import miner
 from tirpmine.database import make_sequence
-from tirpmine.miner import _frequent_events, _mine_emissions
+from tirpmine.miner import MODES, _mine_stream
 from tirpmine.oracle import enumerate_all, target_filter
 
 from conftest import (
@@ -328,21 +329,53 @@ class TestStrategyIndependence:
         assert full_post == targeted
 
 
+def _configs(base):
+    """``base`` in each mode, then under each benchmark preset."""
+    return [*(replace(base, mode=m) for m in MODES),
+            *(config_for_variant(v, base) for v in VARIANTS)]
+
+
+def _trials():
+    """The running example, then small random databases at epsilon 0 to 2."""
+    yield parse_database(EXAMPLE_TEXT), EXAMPLE_QES, MiningConfig(
+        min_sup=EXAMPLE_MINSUP, constraints=EXAMPLE_CONSTRAINTS)
+    for seed in range(30):
+        for epsilon in (0, 1, 2):
+            db, constraints, min_sup, qes = random_trial(seed, epsilon=epsilon)
+            yield db, qes, MiningConfig(min_sup=min_sup, constraints=constraints)
+
+
 def test_dedup_is_noop(example_db, example_cfg):
-    emissions, _ = _mine_emissions(example_db, EXAMPLE_QES, example_cfg)
+    emissions = list(_mine_stream(example_db, EXAMPLE_QES, example_cfg)[0])
     assert len({r.events for r in emissions}) == len(emissions)
 
 
-def test_seed_order_does_not_change_output(example_db, example_cfg, monkeypatch):
-    baseline, _ = mine(example_db, EXAMPLE_QES, example_cfg)
-    original = _frequent_events
+def test_search_yields_in_output_order():
+    """The stream needs no sort: seeds and each level's children are
+    visited in event-name order, so the pre-order walk is already sorted."""
+    for db, qes, base in _trials():
+        for cfg in _configs(base):
+            events = [r.events for r in _mine_stream(db, qes, cfg)[0]]
+            assert events == sorted(events), (qes, cfg)
 
-    def reversed_order(singletons):
-        return list(reversed(original(singletons)))
 
-    monkeypatch.setattr("tirpmine.miner._frequent_events", reversed_order)
-    permuted, _ = mine(example_db, EXAMPLE_QES, example_cfg)
-    assert permuted == baseline
+def test_seed_order_changes_no_result_or_counter(monkeypatch):
+    """Output and search work do not depend on the order the seeds are
+    visited in: the search run over the reversed seed list finds the same
+    results and counts the same joins, prunes and patterns."""
+    search = miner._search
+
+    def reversed_seeds(qes, working, sf, *rest):
+        return search(qes, working, sf[::-1], *rest)
+
+    for db, qes, base in itertools.islice(_trials(), 0, None, 6):
+        for cfg in _configs(base):
+            expected, expected_stats = mine(db, qes, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(miner, "_search", reversed_seeds)
+                results, stats = mine(db, qes, cfg)
+            assert set(results) == set(expected)
+            assert replace(stats, elapsed=0) == replace(expected_stats, elapsed=0)
 
 
 def test_thread_count_does_not_change_output(example_db, example_cfg):
