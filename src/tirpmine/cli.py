@@ -10,9 +10,9 @@ from .model import Constraints
 from .database import (
     DatabaseError,
     GeneratorParams,
+    _sequence_line,
     generate_synthetic,
     parse_database,
-    serialize_database,
 )
 from .miner import (
     MODE_FULL,
@@ -230,7 +230,10 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
     )
     db = generate_synthetic(params)
-    _write(args.output, serialize_database(db))
+    # A line per write, as mine does, so a reader that closes early ends
+    # the run in main's OSError branch.
+    with _open(args.output) as fh:
+        fh.writelines(map(_sequence_line, db.sequences))
     return 0
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .model import interval_precedes
@@ -18,18 +18,36 @@ class DatabaseError(ValueError):
     """Malformed or invalid database input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeIntervalSequence:
     sid: int
     intervals: tuple[tuple[int, int, str], ...]
+    _minima: tuple[int, ...] | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def events(self) -> tuple[str, ...]:
         return tuple(event for _, _, event in self.intervals)
 
+    @property
+    def start_minima(self) -> tuple[int, ...]:
+        """The ``suffix_minima`` of the starts of the intervals. They never
+        decrease, so a scan can bisect them for the end of a start-time
+        window even at epsilon > 0, where starts in interval order can fall.
+        Computed on first read and kept in a slot, which equality, hashing
+        and repr ignore; the sequence is slotted, so it has no instance
+        dict to slow the garbage collector."""
+        minima = self._minima
+        if minima is None:
+            minima = suffix_minima([start for start, _, _ in self.intervals])
+            object.__setattr__(self, "_minima", minima)
+        return minima
+
 
 @dataclass(frozen=True)
 class Database:
+    """Sequences with distinct sids, and indexes over all of them."""
+
     sequences: tuple[TimeIntervalSequence, ...]
 
     def __post_init__(self):
@@ -63,29 +81,6 @@ class Database:
         event index."""
         return {seq.sid: seq for seq in self.sequences}
 
-    def start_minima(self, sid: int) -> tuple[int, ...]:
-        """The ``suffix_minima`` of the starts of sequence ``sid``'s
-        intervals. They never decrease, so a scan can bisect them for the
-        end of a start-time window even at epsilon > 0, where starts in
-        interval order can fall.
-
-        Computed on first request and kept in a table by sid, which a
-        database made by ``restrict`` shares with the one it was made from,
-        so a sequence that many queries scan is computed once. The table is
-        kept here rather than on each sequence: caching an attribute on a
-        sequence gives it an instance dict, and thousands of those make
-        every full garbage collection of a large database markedly
-        slower."""
-        minima = self._start_minima.get(sid)
-        if minima is None:
-            minima = self._start_minima[sid] = suffix_minima(
-                [start for start, _, _ in self.sequence_by_sid[sid].intervals])
-        return minima
-
-    @functools.cached_property
-    def _start_minima(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
     @functools.cached_property
     def event_masks(self) -> dict[str, int]:
         """For each event held by at least 1/64 of the sequences, its
@@ -110,8 +105,7 @@ class Database:
         every event of this database has a mask, the result's
         ``event_support`` is counted by ANDing each mask with the kept
         positions' mask, so it needs no index of its own; otherwise it
-        builds one over the kept sequences when first read. The result
-        shares this database's table of ``start_minima``."""
+        builds one over the kept sequences when first read."""
         if len(positions) == len(self):
             return self
         # Built without __post_init__'s sid check, which these sequences
@@ -129,7 +123,6 @@ class Database:
                 if count:
                     support[event] = count
             vars(restricted)["event_support"] = support  # fills the cached property
-        vars(restricted)["_start_minima"] = self._start_minima
         return restricted
 
     @property
@@ -255,12 +248,14 @@ def parse_database(text: str, epsilon: int = 0) -> Database:
     return Database(tuple(sequences))
 
 
+def _sequence_line(seq: TimeIntervalSequence) -> str:
+    """One sequence in the file format, with its newline."""
+    body = " ".join(f"{event},{start},{end}" for start, end, event in seq.intervals)
+    return f"{seq.sid}|{body}\n"
+
+
 def serialize_database(db: Database) -> str:
-    lines = []
-    for seq in db.sequences:
-        body = " ".join(f"{event},{start},{end}" for start, end, event in seq.intervals)
-        lines.append(f"{seq.sid}|{body}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(map(_sequence_line, db.sequences))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .model import (
     Constraints,
     _check_extension,
 )
-from .database import Database
+from .database import Database, TimeIntervalSequence
 
 
 class PatternOccurrence(NamedTuple):
@@ -233,21 +233,20 @@ class QueryReach:
 
     A row that has matched ``qes[:m]`` can lead to a pattern holding the
     query only if its sequence holds ``qes[m:]`` after the row's ``eid``,
-    that is, only if ``eid < table(sid, intervals)[m]``. A table is built
-    from the sequence's intervals on first request and kept by sid for the
-    life of this object, one query's search over one database; ``pruned``
-    counts the work the test saves, as ``extend_prefix`` documents."""
+    that is, only if ``eid < table(seq)[m]``. A table is built from the
+    sequence's events on first request and kept by sid for the life of
+    this object, one query's search over one database; ``pruned`` counts
+    the work the test saves, as ``extend_prefix`` documents."""
 
     def __init__(self, qes: tuple[str, ...]):
         self.qes = qes
         self.pruned = 0
         self._tables: dict[int, tuple[int, ...]] = {}
 
-    def table(self, sid: int, intervals) -> tuple[int, ...]:
-        table = self._tables.get(sid)
+    def table(self, seq: TimeIntervalSequence) -> tuple[int, ...]:
+        table = self._tables.get(seq.sid)
         if table is None:
-            table = self._tables[sid] = latest_starts(
-                [event for _, _, event in intervals], self.qes)
+            table = self._tables[seq.sid] = latest_starts(seq.events, self.qes)
         return table
 
 
@@ -275,7 +274,7 @@ def extend_prefix(
     past which every start exceeds ``end_t + max(max_gap, epsilon)`` (a
     before step may leave a gap up to max_gap, any other step one up to
     epsilon) or ``start_t + max_dura`` (else the composite lasts longer
-    than max_dura), found by bisecting ``db.start_minima``. An
+    than max_dura), found by bisecting the sequence's ``start_minima``. An
     interval in the window is a candidate exactly when its event's
     singleton database would hold it: its event is a candidate and its
     duration is at least min_dura. (A duration over max_dura needs no check
@@ -312,12 +311,13 @@ def extend_prefix(
     gap_reach = max(max_gap, epsilon)
     hits: dict[str, dict[int, list[tuple]]] = {}
     left, least = len(prefix.by_sid), 0
-    sequences, start_minima = db.sequence_by_sid, db.start_minima
+    sequences = db.sequence_by_sid
     for sid, prefix_rows in prefix.by_sid.items():
-        intervals, minima = sequences[sid].intervals, start_minima(sid)
+        seq = sequences[sid]
+        intervals, minima = seq.intervals, seq.start_minima
         n = len(intervals)
         if rest:
-            table = reach.table(sid, intervals)
+            table = reach.table(seq)
             b_other, b_q = table[match], table[match + 1]
         else:
             b_other = b_q = n + 1  # past every position: no bound

@@ -205,6 +205,24 @@ def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
     assert err == "tirpmine mine: [Errno 32] Broken pipe\n"
 
 
+def test_gen_into_a_closed_stdout_exits_2_without_a_traceback():
+    # About 350 kB, five times a pipe's buffer: the reader's close comes
+    # while gen is still writing.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tirpmine", "gen", "--sequences", "2000", "--intervals", "20",
+         "--alphabet", "20", "--seed", "1"],
+        env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline().startswith("1|")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2
+    assert err == "tirpmine gen: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("db_text, extra", [(EXAMPLE_TEXT + "6|A,5,2\n", []),
                                             (EXAMPLE_TEXT, ["--min-sup", "2"])],
                          ids=["malformed-line", "min-sup-2"])

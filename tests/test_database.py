@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import pickle
 import random
 import tracemalloc
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from tirpmine import (
     GeneratorParams,
     MiningConfig,
     SymbolicInterval,
+    TimeIntervalSequence,
     generate_synthetic,
     interval_precedes,
     mine,
@@ -226,14 +229,38 @@ def test_restrict_with_an_unmasked_event_counts_the_kept_sequences(positions):
 
 def test_start_minima_are_computed_once_across_restrictions():
     # At epsilon 1 the first line sorts to C, A, B, D, E: starts 6, 5, 4, 7, 8.
-    db = parse_database("1|A,5,10 B,4,20 C,6,8 D,7,9 E,8,9\n2|A,0,1\n3|B,2,3 A,9,9\n",
-                        epsilon=1)
-    assert db.start_minima(1) == (4, 4, 4, 7, 8)
+    text = "1|A,5,10 B,4,20 C,6,8 D,7,9 E,8,9\n2|A,0,1\n3|B,2,3 A,9,9\n"
+    db = parse_database(text, epsilon=1)
+    first, third = db.sequence_by_sid[1], db.sequence_by_sid[3]
+    assert first.start_minima == (4, 4, 4, 7, 8)
     kept = db.restrict([0, 2])
-    assert kept.start_minima(1) is db.start_minima(1)
+    assert kept.sequence_by_sid[1].start_minima is first.start_minima
     # A sequence first scanned through a restriction is kept for the database.
-    assert kept.start_minima(3) == (2, 9)
-    assert db.start_minima(3) is kept.start_minima(3)
+    assert kept.sequence_by_sid[3].start_minima == (2, 9)
+    assert third.start_minima is kept.sequence_by_sid[3].start_minima
+    # Two queries, each over its own restriction, scan the same sequence.
+    cfg = MiningConfig(min_sup=0.3, constraints=Constraints(epsilon=1))
+    fresh = parse_database(text, epsilon=1)
+    seq = fresh.sequence_by_sid[1]
+    mine(fresh, ("C",), cfg)
+    minima = seq._minima
+    assert minima == (4, 4, 4, 7, 8)
+    mine(fresh, ("B",), cfg)
+    assert seq._minima is minima
+
+
+def test_cached_minima_change_no_value_semantics():
+    seq = parse_database("1|A,5,10 B,4,20 C,6,8 D,7,9 E,8,9\n", epsilon=1).sequences[0]
+    twin = TimeIntervalSequence(seq.sid, seq.intervals)
+    assert not hasattr(seq, "__dict__")
+    copies = [pickle.loads(pickle.dumps(seq)), deepcopy(seq)]
+    seen = (hash(seq), repr(seq))
+    assert seq.start_minima == (4, 4, 4, 7, 8)
+    assert seq == twin and (hash(seq), repr(seq)) == seen == (hash(twin), repr(twin))
+    copies += [pickle.loads(pickle.dumps(seq)), deepcopy(seq)]
+    assert [c._minima for c in copies] == [None, None, seq.start_minima, seq.start_minima]
+    for c in copies:
+        assert c == seq and c.start_minima == seq.start_minima
 
 
 def test_parse_keeps_one_string_per_event_name():

@@ -407,6 +407,15 @@ def test_latest_starts_is_the_greatest_embedding_start(seed):
         assert table[k] == max(starts, default=0)
 
 
+def test_query_reach_builds_a_sequence_table_once():
+    db = parse_database("1|A,0,1 B,2,3 A,4,5 C,6,7\n2|C,0,1 A,2,3\n")
+    first, second = db.sequences
+    reach = QueryReach(("A", "C"))
+    assert reach.table(first) == (3, 4, 5)
+    assert reach.table(second) == (0, 1, 3)
+    assert reach.table(db.restrict([0]).sequences[0]) is reach.table(first)
+
+
 def _reach_mismatches(seeds):
     """Run ``extend_prefix`` with a ``QueryReach`` against the full join
     filtered by ``_embeds_after`` and return (cases that differ, cases
