@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from contextlib import nullcontext
 
 from .model import Constraints
@@ -162,14 +161,10 @@ def _cmd_mine(args) -> int:
     flags = StrategyFlags(usfp=not args.no_usfp)
     cfg = _config(args, strategies=flags, mode=args.mode)
     db = _load_db(args)
-    t0 = time.perf_counter()
     results, stats = _mine_stream(db, qes, cfg)
     # Every check is made by now, so a refused run leaves --output as it was.
     with _open(args.output) as fh:
-        for r in results:
-            fh.write(_result_line(r))
-            stats.patterns += 1
-    stats.elapsed = time.perf_counter() - t0
+        fh.writelines(map(_result_line, results))
     if args.stats:
         _write(args.stats, _format_stats(stats))
     return 0

@@ -10,6 +10,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import itemgetter
 
 from .model import interval_precedes
 
@@ -27,7 +28,7 @@ class TimeIntervalSequence:
 
     @property
     def events(self) -> tuple[str, ...]:
-        return tuple(event for _, _, event in self.intervals)
+        return tuple(map(itemgetter(2), self.intervals))
 
     @property
     def start_minima(self) -> tuple[int, ...]:

@@ -148,7 +148,7 @@ def post_filter(results, qes) -> list[STirpResult]:
     return [r for r in results if contains_subsequence(r.events, qes)]
 
 
-def _search(qes, working, sf, singletons, psm, threshold, cfg, stats):
+def _search(qes, db, sf, singletons, psm, threshold, cfg, stats):
     """Grow the seeds ``sf`` depth-first and yield each result as it is
     reached. Children are visited in event-name order, so with ``sf``
     sorted too the walk yields in ``sorted(key=events)`` order: a prefix
@@ -158,13 +158,15 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats):
     The stack holds one generator of frequent children per level, and
     depth is not bounded by recursion. A level's children are all joined
     in one scan of the prefix's rows when the level is entered, and each is
-    dropped by its generator once yielded. An empty ``qes`` disables query
-    tracking (full mining): every node matches. ``psm`` is read only when
-    UQPP or UEPP is on. ``stats`` is complete once the generator is done.
+    dropped by its generator once yielded. The joins read sequences by sid
+    from ``db``, the database ``mine()`` was given, whose sid index is built
+    once and outlives the query. An empty ``qes`` disables query tracking
+    (full mining): every node matches. ``psm`` is read only when UQPP or
+    UEPP is on. Once done, ``stats`` lacks only patterns and elapsed.
     """
     flags, c, max_len = cfg.strategies, cfg.constraints, cfg.max_pattern_length
     # One query's row bounds, built per sequence as the search first needs them.
-    reach = QueryReach(qes) if flags.uqrp and qes else None
+    reach = QueryReach(qes, db.sequence_by_sid) if flags.uqrp and qes else None
 
     def children(prefix, last, match):
         # A join is one (prefix, candidate) pair that extension pruning
@@ -176,7 +178,7 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats):
         if not joined:
             return
         stats.join_operations += len(joined)
-        exts = extend_prefix(prefix, joined, working, c, threshold, reach, match)
+        exts = extend_prefix(prefix, joined, db, c, threshold, reach, match)
         for f in sorted(exts):
             yield exts.pop(f), match
 
@@ -204,8 +206,9 @@ def _search(qes, working, sf, singletons, psm, threshold, cfg, stats):
 
 def _mine_stream(db: Database, qes, cfg: MiningConfig):
     """Check the inputs and set the search up, eagerly. Return the results in
-    output order, as an iterator, and stats that lack only patterns and elapsed
-    once it is exhausted."""
+    output order, as an iterator, and stats that are complete once it is
+    exhausted: it counts the patterns it yields and times the whole run."""
+    t0 = time.perf_counter()
     stats = MiningStats()
     targeted = cfg.mode == MODE_TARGETED
     if targeted or cfg.mode == MODE_FULL_POST:
@@ -219,8 +222,6 @@ def _mine_stream(db: Database, qes, cfg: MiningConfig):
     if targeted and cfg.strategies.usfp:
         working = usfp_filter(db, qes)
         stats.sequences_filtered = len(db) - len(working)
-        if len(working) < threshold:
-            return iter(()), stats
 
     c = cfg.constraints
     singletons = build_singleton_vdbs(working, c, threshold)
@@ -233,10 +234,18 @@ def _mine_stream(db: Database, qes, cfg: MiningConfig):
     psm = (build_psm(working, c, set(sf).union(search_qes))
            if sf and (flags.uqpp or flags.uepp) else None)
 
-    results = _search(search_qes, working, sf, singletons, psm, threshold, cfg, stats)
+    results = _search(search_qes, db, sf, singletons, psm, threshold, cfg, stats)
     if cfg.mode == MODE_FULL_POST:
         results = (r for r in results if contains_subsequence(r.events, qes))
-    return results, stats
+    return _counted(results, stats, t0), stats
+
+
+def _counted(results, stats, t0):
+    """Yield ``results``, then set their count and the time since ``t0``."""
+    for r in results:
+        stats.patterns += 1
+        yield r
+    stats.elapsed = time.perf_counter() - t0
 
 
 def mine(db: Database, qes, cfg: MiningConfig):
@@ -246,12 +255,8 @@ def mine(db: Database, qes, cfg: MiningConfig):
     emits every frequent pattern; full-post mode mines fully and then
     filters by the query.
     """
-    t0 = time.perf_counter()
     stream, stats = _mine_stream(db, qes, cfg)
-    results = list(stream)
-    stats.patterns = len(results)
-    stats.elapsed = time.perf_counter() - t0
-    return results, stats
+    return list(stream), stats
 
 
 # Benchmark variant presets differing in mode and strategy toggles. The

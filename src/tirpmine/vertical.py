@@ -43,7 +43,7 @@ from .model import (
     Constraints,
     _check_extension,
 )
-from .database import Database, TimeIntervalSequence
+from .database import Database
 
 
 class PatternOccurrence(NamedTuple):
@@ -228,25 +228,23 @@ def latest_starts(events, qes) -> tuple[int, ...]:
     return tuple(table)
 
 
-class QueryReach:
-    """Per sequence, where the rest of a query can start.
+class QueryReach(dict):
+    """Per sid of ``sequences``, where the rest of a query can start.
 
     A row that has matched ``qes[:m]`` can lead to a pattern holding the
     query only if its sequence holds ``qes[m:]`` after the row's ``eid``,
-    that is, only if ``eid < table(seq)[m]``. A table is built from the
-    sequence's events on first request and kept by sid for the life of
-    this object, one query's search over one database; ``pruned`` counts
-    the work the test saves, as ``extend_prefix`` documents."""
+    that is, only if ``eid < reach[sid][m]``. The ``latest_starts`` table is
+    built from the sequence's events on first lookup and kept for the life
+    of this object, one query's search; ``pruned`` counts the work the test
+    saves, as ``extend_prefix`` documents."""
 
-    def __init__(self, qes: tuple[str, ...]):
+    def __init__(self, qes: tuple[str, ...], sequences):
         self.qes = qes
+        self.sequences = sequences
         self.pruned = 0
-        self._tables: dict[int, tuple[int, ...]] = {}
 
-    def table(self, seq: TimeIntervalSequence) -> tuple[int, ...]:
-        table = self._tables.get(seq.sid)
-        if table is None:
-            table = self._tables[seq.sid] = latest_starts(seq.events, self.qes)
+    def __missing__(self, sid: int) -> tuple[int, ...]:
+        table = self[sid] = latest_starts(self.sequences[sid].events, self.qes)
         return table
 
 
@@ -268,13 +266,14 @@ def extend_prefix(
     rows are those of that database that can still reach the rest of the
     query, as below.
 
-    Each prefix row is scanned in its own sequence of ``db``, the database
-    the prefix was mined from, from the position after its ``eid`` to the
-    end of the window where a valid extension can start: the scan stops
-    past which every start exceeds ``end_t + max(max_gap, epsilon)`` (a
-    before step may leave a gap up to max_gap, any other step one up to
-    epsilon) or ``start_t + max_dura`` (else the composite lasts longer
-    than max_dura), found by bisecting the sequence's ``start_minima``. An
+    Each prefix row is scanned in its own sequence, read by sid from
+    ``db``, any database that holds the prefix's sequences, from the
+    position after its ``eid`` to the end of the window where a valid
+    extension can start: the scan stops past which every start exceeds
+    ``end_t + max(max_gap, epsilon)`` (a before step may leave a gap up to
+    max_gap, any other step one up to epsilon) or ``start_t + max_dura``
+    (else the composite lasts longer than max_dura), found by one bisect
+    of the sequence's ``start_minima`` from index ``eid``. An
     interval in the window is a candidate exactly when its event's
     singleton database would hold it: its event is a candidate and its
     duration is at least min_dura. (A duration over max_dura needs no check
@@ -283,15 +282,16 @@ def extend_prefix(
     The extension rule is applied inline, by the same comparisons as
     ``model._check_extension``, whose callers ``extend_vdb`` and the oracle
     are the independent reference this scan is tested against. Hits are
-    built as rows. Once an event's sequences found plus the prefix's
-    sequences left fall short of ``threshold``, the event is dropped from
-    the scan with its hits, and the scan ends when none is left; only the
-    events with hits are counted again, since any other falls short first.
-    An event with no hit is never returned, whatever the threshold.
+    built as rows and grouped in first-hit order. Once an event's sequences
+    found plus the prefix's sequences left fall short of ``threshold``, the
+    event is dropped from the scan with its hits, and the scan ends when
+    none is left; only the events with hits are counted again, since any
+    other falls short first. An event with no hit is never returned,
+    whatever the threshold.
 
     Query row pruning: while ``match`` is short of the query, with ``q``
     the next query event and ``table`` the row's sequence's
-    ``reach.table``, a prefix row is skipped when ``eid >= table[match]``,
+    ``reach[sid]``, a prefix row is skipped when ``eid >= table[match]``,
     its window is cut to end before position ``table[match + 1]``, and a
     hit at ``q_eid`` is kept only if ``q_eid < table[match + 1]`` when its
     event is ``q``, and ``q_eid < table[match]`` otherwise. The test is
@@ -315,16 +315,14 @@ def extend_prefix(
     for sid, prefix_rows in prefix.by_sid.items():
         seq = sequences[sid]
         intervals, minima = seq.intervals, seq.start_minima
-        n = len(intervals)
         if rest:
-            table = reach.table(seq)
+            table = reach[sid]
             b_other, b_q = table[match], table[match + 1]
         else:
-            b_other = b_q = n + 1  # past every position: no bound
+            b_other = b_q = len(intervals) + 1  # past every position: no bound
         # Position p is index p - 1, so a hit before position b_q lies
         # below index b_q - 1.
         cap = b_q - 1
-        found: dict[str, list[tuple]] = {}
         for r in prefix_rows:
             _, eid, start_t, end_t, _, _ = r
             if eid >= b_other:
@@ -333,10 +331,9 @@ def extend_prefix(
             limit = end_t + gap_reach
             if start_t + max_dura < limit:
                 limit = start_t + max_dura
-            # Position eid + 1 is index eid.
-            if eid == n or minima[eid] > limit:
-                continue
-            hi = bisect_right(minima, limit, eid + 1)
+            # Position eid + 1 is index eid. An empty window gives hi == eid,
+            # never above cap: eid < b_other < b_q, or cap is the length.
+            hi = bisect_right(minima, limit, eid)
             if hi > cap:
                 hi = cap
                 pruned += 1
@@ -372,13 +369,13 @@ def extend_prefix(
                 if up - lo > max_dura:
                     continue
                 hit = (sid, q_eid, lo, up, rel, r)
-                rows = found.get(event)
-                if rows is None:
-                    found[event] = [hit]
+                by_sid = hits.get(event)
+                if by_sid is None:
+                    hits[event] = {sid: [hit]}
+                elif (rows := by_sid.get(sid)) is None:
+                    by_sid[sid] = [hit]
                 else:
                     rows.append(hit)
-        for event, rows in found.items():
-            hits.setdefault(event, {})[sid] = rows
         left -= 1
         if least + left < threshold:
             # need > 0 here, so an event without hits goes too.

@@ -359,14 +359,27 @@ def test_search_yields_in_output_order():
             assert events == sorted(events), (qes, cfg)
 
 
+def test_a_consumed_stream_leaves_the_stats_of_mine(example_db):
+    """``_mine_stream``'s stats are complete once its stream is exhausted:
+    they equal ``mine()``'s but for the time, patterns counted after the
+    full-post filter included, in every mode and preset."""
+    base = MiningConfig(min_sup=EXAMPLE_MINSUP, constraints=EXAMPLE_CONSTRAINTS)
+    for cfg in _configs(base):
+        results, expected = mine(example_db, EXAMPLE_QES, cfg)
+        stream, stats = _mine_stream(example_db, EXAMPLE_QES, cfg)
+        assert list(stream) == results
+        assert stats.patterns == len(results) and stats.elapsed > 0
+        assert replace(stats, elapsed=0) == replace(expected, elapsed=0)
+
+
 def test_seed_order_changes_no_result_or_counter(monkeypatch):
     """Output and search work do not depend on the order the seeds are
     visited in: the search run over the reversed seed list finds the same
     results and counts the same joins, prunes and patterns."""
     search = miner._search
 
-    def reversed_seeds(qes, working, sf, *rest):
-        return search(qes, working, sf[::-1], *rest)
+    def reversed_seeds(qes, db, sf, *rest):
+        return search(qes, db, sf[::-1], *rest)
 
     for db, qes, base in itertools.islice(_trials(), 0, None, 6):
         for cfg in _configs(base):
@@ -385,25 +398,30 @@ def test_thread_count_does_not_change_output(example_db, example_cfg):
     assert stats4.join_operations == stats1.join_operations
 
 
-# Search work per variant on one sparse seeded DB where the pair-support
-# matrix prunes in every variant and query pair pruning fires in tatirp2/12/12r:
-# (patterns, join_operations, pruned_uqpp, pruned_uepp), keyed by query and
-# min_dura. At min_dura 8 event 1 is infrequent while pairs ending in it are
-# not (the matrix does not screen on min_dura), so query pruning depends on
-# the matrix holding pairs with infrequent query events. A change to the
-# matrix or to the search that shifts a single prune decision shows here.
+# Search work per variant, and of the default config that ``mine`` runs, on
+# one sparse seeded DB where the pair-support matrix prunes in every variant
+# and query pair pruning fires in tatirp2/12/12r: (patterns, join_operations,
+# pruned_uqpp, pruned_uepp, pruned_uqrp), keyed by query and min_dura. At
+# min_dura 8 event 1 is infrequent while pairs ending in it are not (the
+# matrix does not screen on min_dura), so query pruning depends on the
+# matrix holding pairs with infrequent query events. A change to the matrix
+# or to the search that shifts a single prune decision shows here; so does
+# a row at its sequence's last position that counts a cut window.
 PINNED_DB = GeneratorParams(num_sequences=50, intervals_per_sequence=10, alphabet_size=12,
                             max_time=60, max_duration=8, seed=2)
 PINNED_WORK = {
-    (("0",), 0): {"fasttirp": (76, 460, 0, 452), "fasttirp-post": (9, 460, 0, 452),
-                  "tatirp1": (9, 50, 0, 274), "tatirp2": (9, 240, 19, 192),
-                  "tatirp12": (9, 42, 10, 150), "tatirp12r": (9, 42, 5, 150)},
-    (("2", "0"), 0): {"fasttirp": (76, 460, 0, 452), "fasttirp-post": (1, 460, 0, 452),
-                      "tatirp1": (1, 1, 0, 155), "tatirp2": (1, 287, 19, 229),
-                      "tatirp12": (1, 1, 11, 23), "tatirp12r": (1, 1, 11, 23)},
-    (("1",), 8): {"fasttirp": (7, 21, 0, 28), "fasttirp-post": (0, 21, 0, 28),
-                  "tatirp1": (0, 0, 0, 4), "tatirp2": (0, 11, 3, 17),
-                  "tatirp12": (0, 0, 1, 2), "tatirp12r": (0, 0, 1, 2)},
+    (("0",), 0): {"fasttirp": (76, 460, 0, 452, 0), "fasttirp-post": (9, 460, 0, 452, 0),
+                  "tatirp1": (9, 50, 0, 274, 0), "tatirp2": (9, 240, 19, 192, 0),
+                  "tatirp12": (9, 42, 10, 150, 0), "tatirp12r": (9, 42, 5, 150, 51),
+                  "mine": (9, 252, 0, 0, 123)},
+    (("2", "0"), 0): {"fasttirp": (76, 460, 0, 452, 0), "fasttirp-post": (1, 460, 0, 452, 0),
+                      "tatirp1": (1, 1, 0, 155, 0), "tatirp2": (1, 287, 19, 229, 0),
+                      "tatirp12": (1, 1, 11, 23, 0), "tatirp12r": (1, 1, 11, 23, 1),
+                      "mine": (1, 156, 0, 0, 58)},
+    (("1",), 8): {"fasttirp": (7, 21, 0, 28, 0), "fasttirp-post": (0, 21, 0, 28, 0),
+                  "tatirp1": (0, 0, 0, 4, 0), "tatirp2": (0, 11, 3, 17, 0),
+                  "tatirp12": (0, 0, 1, 2, 0), "tatirp12r": (0, 0, 1, 2, 0),
+                  "mine": (0, 4, 0, 0, 0)},
 }
 
 
@@ -413,11 +431,13 @@ def test_search_work_is_pinned(qes, min_dura):
     db = generate_synthetic(PINNED_DB)
     base = MiningConfig(min_sup=0.1, constraints=Constraints(
         epsilon=1, max_gap=8, min_dura=min_dura, max_dura=15))
+    configs = {variant: config_for_variant(variant, base) for variant in VARIANTS}
+    configs["mine"] = base
     work = {}
-    for variant in VARIANTS:
-        _, stats = mine(db, qes, config_for_variant(variant, base))
-        work[variant] = (stats.patterns, stats.join_operations,
-                         stats.pruned_uqpp, stats.pruned_uepp)
+    for name, cfg in configs.items():
+        _, stats = mine(db, qes, cfg)
+        work[name] = (stats.patterns, stats.join_operations,
+                      stats.pruned_uqpp, stats.pruned_uepp, stats.pruned_uqrp)
     assert work == PINNED_WORK[qes, min_dura]
 
 

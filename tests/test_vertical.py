@@ -410,10 +410,11 @@ def test_latest_starts_is_the_greatest_embedding_start(seed):
 def test_query_reach_builds_a_sequence_table_once():
     db = parse_database("1|A,0,1 B,2,3 A,4,5 C,6,7\n2|C,0,1 A,2,3\n")
     first, second = db.sequences
-    reach = QueryReach(("A", "C"))
-    assert reach.table(first) == (3, 4, 5)
-    assert reach.table(second) == (0, 1, 3)
-    assert reach.table(db.restrict([0]).sequences[0]) is reach.table(first)
+    reach = QueryReach(("A", "C"), db.sequence_by_sid)
+    assert reach[first.sid] == (3, 4, 5)
+    assert reach[second.sid] == (0, 1, 3)
+    assert reach[db.restrict([0]).sequences[0].sid] is reach[first.sid]
+    assert len(reach) == 2
 
 
 def _reach_mismatches(seeds):
@@ -442,7 +443,7 @@ def _reach_mismatches(seeds):
         queries = [qes] + [tuple(rng.choice(db.alphabet) for _ in range(rng.randint(1, 3)))
                            for _ in range(2)]
         for query in queries:
-            reach = QueryReach(query)
+            reach = QueryReach(query, sequences)
             for prefix in prefixes:
                 match = 0
                 for e in prefix.events:
@@ -485,6 +486,43 @@ def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
     monkeypatch.setattr("tirpmine.vertical.latest_starts", earliest_starts)
     mismatches, _, _ = _reach_mismatches(range(60))
     assert mismatches > 0
+
+
+def test_extend_prefix_reads_any_database_that_holds_the_prefix():
+    """The scan reads each prefix sequence by sid, so the whole database and
+    ``db.restrict`` of the prefix's sequences give the same events, rows and
+    row order, with and without a ``QueryReach``, and the same
+    ``reach.pruned``; at epsilon 0 to 2, from prefixes of one and two
+    events."""
+    joined = pruned = 0
+    for seed in range(30):
+        for epsilon in (0, 1, 2):
+            db, c, min_sup, qes = random_trial(seed, epsilon=epsilon)
+            position = {seq.sid: pos for pos, seq in enumerate(db.sequences)}
+            singletons = build_singleton_vdbs(db, c)
+            events = sorted(singletons)
+            prefixes = list(singletons.values())
+            prefixes += [ext for p in list(prefixes) for e in events
+                         if (ext := extend_vdb(p, e, singletons[e], c)).by_sid]
+            for prefix in prefixes:
+                match = 0
+                for e in prefix.events:
+                    if match < len(qes) and e == qes[match]:
+                        match += 1
+                restricted = db.restrict(sorted(position[sid] for sid in prefix.by_sid))
+                for t in sorted({1, max(1, min_sup * len(db))}):
+                    runs = []
+                    for source in (db, restricted):
+                        reach = QueryReach(qes, source.sequence_by_sid)
+                        runs.append([
+                            [(e, list(v.by_sid.items())) for e, v in
+                             extend_prefix(prefix, events, source, c, t, *args).items()]
+                            for args in ((), (reach, match))] + [reach.pruned])
+                    assert runs[0] == runs[1]
+                    joined += bool(runs[0][0])
+                    pruned += runs[0][2]
+    # Extensions came back, and query row pruning counted work.
+    assert joined > 0 and pruned > 0
 
 
 def _replay_relations(seq, row: PatternOccurrence, epsilon: int) -> None:
