@@ -33,7 +33,7 @@ from .database import Database
 # name in this module, with usfp_filter, build_singleton_vdbs and
 # build_psm; without the name every traced query raises AttributeError.
 from .vertical import (  # noqa: F401
-    QueryReach,
+    Scan,
     build_psm,
     build_singleton_vdbs,
     extend_prefix,
@@ -148,25 +148,23 @@ def post_filter(results, qes) -> list[STirpResult]:
     return [r for r in results if contains_subsequence(r.events, qes)]
 
 
-def _search(qes, db, sf, singletons, psm, threshold, cfg, stats):
-    """Grow the seeds ``sf`` depth-first and yield each result as it is
-    reached. Children are visited in event-name order, so with ``sf``
-    sorted too the walk yields in ``sorted(key=events)`` order: a prefix
-    sorts before its extensions, and ``(P, a, ...)`` before ``(P, b)`` when
-    ``a < b``. No event sequence is reached twice.
+def _search(qes, seeds, psm, scan, cfg, stats):
+    """Grow the singleton databases ``seeds`` depth-first and yield each
+    result as it is reached. Children are visited in event-name order, so
+    with ``seeds`` in that order too the walk yields in ``sorted(key=events)``
+    order: a prefix sorts before its extensions, and ``(P, a, ...)`` before
+    ``(P, b)`` when ``a < b``. No event sequence is reached twice.
 
     The stack holds one generator of frequent children per level, and
     depth is not bounded by recursion. A level's children are all joined
     in one scan of the prefix's rows when the level is entered, and each is
-    dropped by its generator once yielded. The joins read sequences by sid
-    from ``db``, the database ``mine()`` was given, whose sid index is built
-    once and outlives the query. An empty ``qes`` disables query tracking
-    (full mining): every node matches. ``psm`` is read only when UQPP or
-    UEPP is on. Once done, ``stats`` lacks only patterns and elapsed.
+    dropped by its generator once yielded. Every join reads ``scan``, the
+    query's one ``Scan``. An empty ``qes`` disables query tracking (full
+    mining): every node matches. ``psm`` is read only when UQPP or UEPP is
+    on. Once done, ``stats`` lacks only patterns and elapsed.
     """
-    flags, c, max_len = cfg.strategies, cfg.constraints, cfg.max_pattern_length
-    # One query's row bounds, built per sequence as the search first needs them.
-    reach = QueryReach(qes, db.sequence_by_sid) if flags.uqrp and qes else None
+    flags, max_len, threshold = cfg.strategies, cfg.max_pattern_length, scan.threshold
+    sf = [seed.events[0] for seed in seeds]
 
     def children(prefix, last, match):
         # A join is one (prefix, candidate) pair that extension pruning
@@ -178,11 +176,11 @@ def _search(qes, db, sf, singletons, psm, threshold, cfg, stats):
         if not joined:
             return
         stats.join_operations += len(joined)
-        exts = extend_prefix(prefix, joined, db, c, threshold, reach, match)
+        exts = extend_prefix(prefix, joined, scan, match)
         for f in sorted(exts):
             yield exts.pop(f), match
 
-    stack = [iter([(singletons[e], 0) for e in sf])]
+    stack = [iter([(seed, 0) for seed in seeds])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -200,8 +198,7 @@ def _search(qes, db, sf, singletons, psm, threshold, cfg, stats):
             continue
         if max_len is None or len(prefix.events) < max_len:
             stack.append(children(prefix, last, match))
-    if reach is not None:
-        stats.pruned_uqrp = reach.pruned
+    stats.pruned_uqrp = scan.pruned
 
 
 def _mine_stream(db: Database, qes, cfg: MiningConfig):
@@ -234,7 +231,9 @@ def _mine_stream(db: Database, qes, cfg: MiningConfig):
     psm = (build_psm(working, c, set(sf).union(search_qes))
            if sf and (flags.uqpp or flags.uepp) else None)
 
-    results = _search(search_qes, db, sf, singletons, psm, threshold, cfg, stats)
+    # The scan reads mine()'s own db, whose sid index outlives the query.
+    scan = Scan(db, c, threshold, search_qes if flags.uqrp else ())
+    results = _search(search_qes, [singletons[e] for e in sf], psm, scan, cfg, stats)
     if cfg.mode == MODE_FULL_POST:
         results = (r for r in results if contains_subsequence(r.events, qes))
     return _counted(results, stats, t0), stats

@@ -17,11 +17,12 @@ A prefix is grown by all its candidate events at once: ``extend_prefix``
 scans each prefix row's own sequence over the intervals the row can reach,
 those after it whose start lies within the gap and duration bounds of its
 envelope, and returns rows only for the candidates that reach the support
-threshold. Given a ``QueryReach``, the scan also drops every row after
-which its sequence no longer holds the unmatched rest of the query (query
-row pruning). The scan applies the extension rule inline, with its own
-comparisons. ``extend_vdb`` joins a prefix with one candidate's singleton
-rows by a plain scan of every later row, through ``model._check_extension``;
+threshold, read with the bounds and each sequence from the query's one
+``Scan``. Given a query there, the scan also drops every row after which
+its sequence no longer holds the unmatched rest of the query (query row
+pruning). It applies the extension rule inline, with its own comparisons.
+``extend_vdb`` joins a prefix with one candidate's singleton rows by a
+plain scan of every later row, through ``model._check_extension``;
 together they are the independent reference the scan is tested against.
 """
 from __future__ import annotations
@@ -228,53 +229,51 @@ def latest_starts(events, qes) -> tuple[int, ...]:
     return tuple(table)
 
 
-class QueryReach(dict):
-    """Per sid of ``sequences``, where the rest of a query can start.
+class Scan(dict):
+    """One query's state for ``extend_prefix``: the join's bounds, derived
+    once from the constraints (unset ones read as infinity; ``gap_reach`` is
+    ``max(max_gap, epsilon)``, as a before step may leave a gap up to max_gap
+    and any other one up to epsilon), the support ``threshold``, the query
+    ``qes`` of query row pruning, or (), and ``pruned``, the work it saves.
 
-    A row that has matched ``qes[:m]`` can lead to a pattern holding the
-    query only if its sequence holds ``qes[m:]`` after the row's ``eid``,
-    that is, only if ``eid < reach[sid][m]``. The ``latest_starts`` table is
-    built from the sequence's events on first lookup and kept for the life
-    of this object, one query's search; ``pruned`` counts the work the test
-    saves, as ``extend_prefix`` documents."""
+    Each sid of ``db`` maps to its sequence's ``latest_starts`` table for
+    ``qes``, built on the first join with query left that reaches the
+    sequence and kept for the search: a row that has matched ``qes[:m]``
+    can reach the query only if ``eid < table[m]``."""
 
-    def __init__(self, qes: tuple[str, ...], sequences):
-        self.qes = qes
-        self.sequences = sequences
-        self.pruned = 0
+    def __init__(self, db: Database, c: Constraints, threshold: int,
+                 qes: tuple[str, ...] = ()):
+        self.sequences = db.sequence_by_sid
+        self.threshold, self.qes, self.pruned = threshold, qes, 0
+        self.epsilon, self.min_gap, self.min_dura = c.epsilon, c.min_gap, c.min_dura
+        self.max_gap = _UNBOUNDED if c.max_gap is None else c.max_gap
+        self.max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
+        self.gap_reach = max(self.max_gap, self.epsilon)
 
     def __missing__(self, sid: int) -> tuple[int, ...]:
         table = self[sid] = latest_starts(self.sequences[sid].events, self.qes)
         return table
 
 
-def extend_prefix(
-    prefix: VerticalDatabase,
-    candidates,
-    db: Database,
-    c: Constraints,
-    threshold: float,
-    reach: QueryReach | None = None,
-    match: int = 0,
-) -> dict[str, VerticalDatabase]:
+def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
+                  match: int = 0) -> dict[str, VerticalDatabase]:
     """Join the prefix pattern with every candidate event in one scan.
 
     Returns, for each event in ``candidates`` whose extension holds at least
-    ``threshold`` sequences, the database ``extend_vdb`` returns for it with
-    that event's singleton database, row for row and in the same order.
-    With ``reach``, the prefix has matched ``reach.qes[:match]`` and the
-    rows are those of that database that can still reach the rest of the
-    query, as below.
+    ``scan.threshold`` sequences, the database ``extend_vdb`` returns for it
+    with that event's singleton database, row for row and in the same order.
+    The prefix has matched ``scan.qes[:match]``, and the rows are those of
+    that database that can still reach the rest of the query, as below;
+    with no query left, all of them.
 
     Each prefix row is scanned in its own sequence, read by sid from
-    ``db``, any database that holds the prefix's sequences, from the
-    position after its ``eid`` to the end of the window where a valid
-    extension can start: the scan stops past which every start exceeds
-    ``end_t + max(max_gap, epsilon)`` (a before step may leave a gap up to
-    max_gap, any other step one up to epsilon) or ``start_t + max_dura``
-    (else the composite lasts longer than max_dura), found by one bisect
-    of the sequence's ``start_minima`` from index ``eid``. An
-    interval in the window is a candidate exactly when its event's
+    ``scan.sequences``, from the position after its ``eid`` to the end of
+    the window where a valid extension can start: the scan stops past which
+    every start exceeds ``end_t + gap_reach`` or ``start_t + max_dura``
+    (else the composite lasts longer than max_dura), found by one bisect of
+    the sequence's ``start_minima`` from index ``eid``. The property runs
+    once per sequence; after it, the scan reads the slot it fills, with no
+    call. An interval in the window is a candidate exactly when its event's
     singleton database would hold it: its event is a candidate and its
     duration is at least min_dura. (A duration over max_dura needs no check
     here, since it makes every composite holding the interval too long.)
@@ -283,7 +282,7 @@ def extend_prefix(
     ``model._check_extension``, whose callers ``extend_vdb`` and the oracle
     are the independent reference this scan is tested against. Hits are
     built as rows and grouped in first-hit order. Once an event's sequences
-    found plus the prefix's sequences left fall short of ``threshold``, the
+    found plus the prefix's sequences left fall short of the threshold, the
     event is dropped from the scan with its hits, and the scan ends when
     none is left; only the events with hits are counted again, since any
     other falls short first. An event with no hit is never returned,
@@ -291,32 +290,31 @@ def extend_prefix(
 
     Query row pruning: while ``match`` is short of the query, with ``q``
     the next query event and ``table`` the row's sequence's
-    ``reach[sid]``, a prefix row is skipped when ``eid >= table[match]``,
+    ``scan[sid]``, a prefix row is skipped when ``eid >= table[match]``,
     its window is cut to end before position ``table[match + 1]``, and a
     hit at ``q_eid`` is kept only if ``q_eid < table[match + 1]`` when its
     event is ``q``, and ``q_eid < table[match]`` otherwise. The test is
     exact: a dropped row's sequence no longer holds the rest of the query
     after it, so no pattern holding the query descends from it. Since
     support is counted over the kept hits, the early exit above drops a
-    candidate the test starves. ``reach.pruned`` grows by the rows skipped
+    candidate the test starves. ``scan.pruned`` grows by the rows skipped
     or cut and the hits dropped inside the window.
     """
     wanted = set(candidates)
-    rest = reach is not None and match < len(reach.qes)
-    q = reach.qes[match] if rest else None
+    qes, threshold = scan.qes, scan.threshold
+    rest = match < len(qes)
+    q = qes[match] if rest else None
+    epsilon, min_gap, max_gap = scan.epsilon, scan.min_gap, scan.max_gap
+    min_dura, max_dura, gap_reach = scan.min_dura, scan.max_dura, scan.gap_reach
     pruned = 0
-    epsilon, min_gap, min_dura = c.epsilon, c.min_gap, c.min_dura
-    max_gap = _UNBOUNDED if c.max_gap is None else c.max_gap
-    max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
-    gap_reach = max(max_gap, epsilon)
     hits: dict[str, dict[int, list[tuple]]] = {}
     left, least = len(prefix.by_sid), 0
-    sequences = db.sequence_by_sid
+    sequences = scan.sequences
     for sid, prefix_rows in prefix.by_sid.items():
         seq = sequences[sid]
-        intervals, minima = seq.intervals, seq.start_minima
+        intervals, minima = seq.intervals, seq._minima or seq.start_minima
         if rest:
-            table = reach[sid]
+            table = scan[sid]
             b_other, b_q = table[match], table[match + 1]
         else:
             b_other = b_q = len(intervals) + 1  # past every position: no bound
@@ -385,8 +383,7 @@ def extend_prefix(
                 break
             wanted = set(hits)
             least = min(map(len, hits.values()))
-    if reach is not None:
-        reach.pruned += pruned
+    scan.pruned += pruned
     # Every event still in hits has reached the threshold: after the last
     # sequence, one short of it would have been dropped.
     return {event: VerticalDatabase(prefix.events + (event,), by_sid)

@@ -378,8 +378,8 @@ def test_seed_order_changes_no_result_or_counter(monkeypatch):
     results and counts the same joins, prunes and patterns."""
     search = miner._search
 
-    def reversed_seeds(qes, db, sf, *rest):
-        return search(qes, db, sf[::-1], *rest)
+    def reversed_seeds(qes, seeds, *rest):
+        return search(qes, seeds[::-1], *rest)
 
     for db, qes, base in itertools.islice(_trials(), 0, None, 6):
         for cfg in _configs(base):

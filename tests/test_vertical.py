@@ -1,5 +1,7 @@
 import gc
+import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -8,24 +10,28 @@ from tirpmine import (
     Constraints,
     Database,
     GeneratorParams,
+    MiningConfig,
     Span,
     SymbolicInterval,
+    TimeIntervalSequence,
     build_psm,
     build_singleton_vdbs,
     check_extension_validity,
     classify_relation,
     extend_vdb,
     generate_synthetic,
+    mine,
     parse_database,
     serialize_database,
     usfp_filter,
 )
+from tirpmine import miner
 from tirpmine.database import make_sequence
 from tirpmine.miner import contains_subsequence
 from tirpmine.model import RELATIONS
 from tirpmine.vertical import (
     PatternOccurrence,
-    QueryReach,
+    Scan,
     VerticalDatabase,
     extend_prefix,
     latest_starts,
@@ -246,9 +252,10 @@ def test_rows_are_untracked_plain_tuples(example_db):
     c = EXAMPLE_CONSTRAINTS
     singletons = build_singleton_vdbs(example_db, c)
     cb = extend_vdb(singletons["C"], "B", singletons["B"], c)
+    scan = Scan(example_db, c, 1)
     vdbs = [*singletons.values(), cb,
-            *extend_prefix(singletons["C"], sorted(singletons), example_db, c, 1).values(),
-            *extend_prefix(cb, sorted(singletons), example_db, c, 1).values()]
+            *extend_prefix(singletons["C"], sorted(singletons), scan).values(),
+            *extend_prefix(cb, sorted(singletons), scan).values()]
     assert {len(v.events) for v in vdbs} == {1, 2, 3}
     stored = [[r for rows in v.by_sid.values() for r in rows] for v in vdbs]
     for _ in range(3):
@@ -333,7 +340,7 @@ def test_extend_prefix_is_extend_vdb_for_each_frequent_candidate():
             supports = {v.vertical_support() for v in full.values()}
             thresholds = {1, min_sup * len(db)} | supports | {v + 1 for v in supports}
             for t in sorted(t for t in thresholds if t >= 1):
-                joined = extend_prefix(prefix, candidates, db, c, t)
+                joined = extend_prefix(prefix, candidates, Scan(db, c, t))
                 assert set(joined) == {e for e, v in full.items() if v.vertical_support() >= t}
                 for e, ext in joined.items():
                     assert ext.events == prefix.events + (e,)
@@ -376,7 +383,7 @@ def test_extend_prefix_applies_the_rule_of_extend_vdb_at_every_edge(epsilon):
         events = sorted(singletons)
         want = {e: ext for e in events
                 if (ext := extend_vdb(prefix, e, singletons[e], c)).by_sid}
-        got = extend_prefix(prefix, events, db, c, 1)
+        got = extend_prefix(prefix, events, Scan(db, c, 1))
         assert got.keys() == want.keys()
         for e, ext in got.items():
             assert list(ext.by_sid.items()) == list(want[e].by_sid.items())
@@ -410,17 +417,17 @@ def test_latest_starts_is_the_greatest_embedding_start(seed):
 def test_query_reach_builds_a_sequence_table_once():
     db = parse_database("1|A,0,1 B,2,3 A,4,5 C,6,7\n2|C,0,1 A,2,3\n")
     first, second = db.sequences
-    reach = QueryReach(("A", "C"), db.sequence_by_sid)
-    assert reach[first.sid] == (3, 4, 5)
-    assert reach[second.sid] == (0, 1, 3)
-    assert reach[db.restrict([0]).sequences[0].sid] is reach[first.sid]
-    assert len(reach) == 2
+    scan = Scan(db, Constraints(), 1, ("A", "C"))
+    assert scan[first.sid] == (3, 4, 5)
+    assert scan[second.sid] == (0, 1, 3)
+    assert scan[db.restrict([0]).sequences[0].sid] is scan[first.sid]
+    assert len(scan) == 2
 
 
 def _reach_mismatches(seeds):
-    """Run ``extend_prefix`` with a ``QueryReach`` against the full join
+    """Run ``extend_prefix`` with a query's ``Scan`` against the full join
     filtered by ``_embeds_after`` and return (cases that differ, cases
-    whose rows the filter changed, total ``pruned``).
+    whose rows the filter changed, total ``scan.pruned``).
 
     The expected rows of a candidate are those of ``extend_vdb`` whose
     sequence still holds the rest of the query, after the candidate has
@@ -443,7 +450,6 @@ def _reach_mismatches(seeds):
         queries = [qes] + [tuple(rng.choice(db.alphabet) for _ in range(rng.randint(1, 3)))
                            for _ in range(2)]
         for query in queries:
-            reach = QueryReach(query, sequences)
             for prefix in prefixes:
                 match = 0
                 for e in prefix.events:
@@ -464,11 +470,12 @@ def _reach_mismatches(seeds):
                 for t in sorted({1, min_sup * len(db)} | supports | {v + 1 for v in supports}):
                     if t < 1:
                         continue
-                    joined = extend_prefix(prefix, candidates, db, c, t, reach, match)
+                    scan = Scan(db, c, t, query)
+                    joined = extend_prefix(prefix, candidates, scan, match)
                     got = {e: list(v.by_sid.items()) for e, v in joined.items()}
                     want = {e: list(v.items()) for e, v in expected.items() if len(v) >= t}
                     mismatches += got != want
-            pruned += reach.pruned
+                    pruned += scan.pruned
     return mismatches, filtered, pruned
 
 
@@ -491,9 +498,8 @@ def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
 def test_extend_prefix_reads_any_database_that_holds_the_prefix():
     """The scan reads each prefix sequence by sid, so the whole database and
     ``db.restrict`` of the prefix's sequences give the same events, rows and
-    row order, with and without a ``QueryReach``, and the same
-    ``reach.pruned``; at epsilon 0 to 2, from prefixes of one and two
-    events."""
+    row order, with and without a query, and the same ``scan.pruned``; at
+    epsilon 0 to 2, from prefixes of one and two events."""
     joined = pruned = 0
     for seed in range(30):
         for epsilon in (0, 1, 2):
@@ -513,16 +519,85 @@ def test_extend_prefix_reads_any_database_that_holds_the_prefix():
                 for t in sorted({1, max(1, min_sup * len(db))}):
                     runs = []
                     for source in (db, restricted):
-                        reach = QueryReach(qes, source.sequence_by_sid)
+                        scans = [Scan(source, c, t), Scan(source, c, t, qes)]
                         runs.append([
                             [(e, list(v.by_sid.items())) for e, v in
-                             extend_prefix(prefix, events, source, c, t, *args).items()]
-                            for args in ((), (reach, match))] + [reach.pruned])
+                             extend_prefix(prefix, events, scan, m).items()]
+                            for scan, m in zip(scans, (0, match))] + [scans[1].pruned])
                     assert runs[0] == runs[1]
                     joined += bool(runs[0][0])
                     pruned += runs[0][2]
     # Extensions came back, and query row pruning counted work.
     assert joined > 0 and pruned > 0
+
+
+def test_a_query_scan_reads_each_sequence_once(monkeypatch):
+    """A query's ``Scan`` is its joins' one view of the sequences, over
+    ``random_trial`` databases at epsilon 0 to 2:
+
+    * a mined query, targeted or full, reads each sequence's
+      ``start_minima`` property at most once, however many joins reach the
+      sequence, and builds its query table at most once, and none in full
+      mining;
+    * a scan of ``db`` serves prefixes of ``db.restrict``: it reads the
+      same sequence objects and builds the tables a scan of the
+      restriction builds;
+    * a scan with no query, as in full mining and in presets without
+      query row pruning, gives ``extend_vdb``'s rows for every candidate at
+      or above the threshold, and prunes nothing at any ``match``; so does
+      a scan whose query is matched, which builds no table."""
+    reads, reached, tables = Counter(), Counter(), Counter()
+    start_minima, join = TimeIntervalSequence.start_minima, miner.extend_prefix
+
+    def counted_minima(seq):
+        reads[seq.sid] += 1
+        return start_minima.fget(seq)
+
+    def counted_table(self, sid):
+        tables[sid] += 1
+        return missing(self, sid)
+
+    def counted_join(prefix, candidates, scan, match=0):
+        reached.update(prefix.by_sid.keys())
+        return join(prefix, candidates, scan, match)
+
+    missing = Scan.__missing__
+    monkeypatch.setattr(TimeIntervalSequence, "start_minima", property(counted_minima))
+    monkeypatch.setattr(miner, "extend_prefix", counted_join)
+    monkeypatch.setattr(Scan, "__missing__", counted_table)
+    shared = 0
+    for seed in range(12):
+        for epsilon in (0, 1, 2):
+            db, c, min_sup, qes = random_trial(seed, epsilon=epsilon)
+            for mode in ("targeted", "full"):
+                for counter in (reads, reached, tables):
+                    counter.clear()
+                mine(db, qes, MiningConfig(min_sup=min_sup, constraints=c, mode=mode,
+                                           max_pattern_length=4))
+                assert set(reads.values()) <= {1} and reads.keys() <= reached.keys()
+                assert set(tables.values()) <= {1} and tables.keys() <= reached.keys()
+                assert mode == "targeted" or not tables
+                shared += sum(reached[sid] > 1 for sid in reads)
+
+            t = max(1, math.ceil(min_sup * len(db)))
+            singletons = build_singleton_vdbs(db, c)
+            events = sorted(singletons)
+            restricted = db.restrict(range(0, len(db), 2))
+            whole, own = Scan(db, c, t, qes), Scan(restricted, c, t, qes)
+            for seq in restricted.sequences:
+                assert whole.sequences[seq.sid] is seq is own.sequences[seq.sid]
+                assert whole[seq.sid] == own[seq.sid] == latest_starts(seq.events, qes)
+            for prefix in singletons.values():
+                want = {e: list(ext.by_sid.items()) for e in events
+                        if (ext := extend_vdb(prefix, e, singletons[e], c)).vertical_support() >= t}
+                runs = [(Scan(db, c, t), match) for match in (0, 1, 2)]
+                runs.append((Scan(db, c, t, qes), len(qes)))
+                for scan, match in runs:
+                    got = extend_prefix(prefix, events, scan, match)
+                    assert {e: list(v.by_sid.items()) for e, v in got.items()} == want
+                    assert scan.pruned == 0 and not scan
+    # Some sequence was reached by more than one join of one query.
+    assert shared > 0
 
 
 def _replay_relations(seq, row: PatternOccurrence, epsilon: int) -> None:
