@@ -11,8 +11,10 @@ search space:
 * extension pair pruning (UEPP): skip candidate events whose pair support
   with the last event is below threshold;
 * query row pruning (UQRP): drop each row whose own sequence no longer
-  holds the unmatched rest of the query after it, and with it a branch
-  left with too few sequences.
+  holds the unmatched rest of the query after it, or, under a gap bound,
+  from which no chain of gap-bounded steps reaches that rest, and with it
+  a branch left with too few sequences; the singleton pass builds only
+  the live rows of the seeds, and a seed left with too few is not grown.
 
 The default is USFP plus UQRP. UQPP and UEPP read a pair support matrix,
 built only when one of them is on; since UQRP drops the same work row by
@@ -89,6 +91,12 @@ class STirpResult:
 
 @dataclass
 class MiningStats:
+    """Counters of one run. ``pruned_uqrp`` counts the work query row
+    pruning saves: prefix rows a join skips or whose window it cuts short,
+    hits it drops, by the query table or the gap table, and intervals the
+    seed screen leaves unbuilt, found dead or met after the event's screen
+    stopped."""
+
     sequences_filtered: int = 0
     join_operations: int = 0
     pruned_uqpp: int = 0
@@ -150,10 +158,13 @@ def post_filter(results, qes) -> list[STirpResult]:
 
 def _search(qes, seeds, psm, scan, cfg, stats):
     """Grow the singleton databases ``seeds`` depth-first and yield each
-    result as it is reached. Children are visited in event-name order, so
-    with ``seeds`` in that order too the walk yields in ``sorted(key=events)``
-    order: a prefix sorts before its extensions, and ``(P, a, ...)`` before
-    ``(P, b)`` when ``a < b``. No event sequence is reached twice.
+    result as it is reached. Every seed's event is a join candidate, but a
+    seed with fewer than ``threshold`` sequences, as the seed screen leaves
+    one with too few live rows, is not grown. Children are visited in
+    event-name order, so with ``seeds`` in that order too the walk yields
+    in ``sorted(key=events)`` order: a prefix sorts before its extensions,
+    and ``(P, a, ...)`` before ``(P, b)`` when ``a < b``. No event sequence
+    is reached twice.
 
     The stack holds one generator of frequent children per level, and
     depth is not bounded by recursion. A level's children are all joined
@@ -180,7 +191,7 @@ def _search(qes, seeds, psm, scan, cfg, stats):
         for f in sorted(exts):
             yield exts.pop(f), match
 
-    stack = [iter([(seed, 0) for seed in seeds])]
+    stack = [iter([(seed, 0) for seed in seeds if len(seed.by_sid) >= threshold])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -221,18 +232,17 @@ def _mine_stream(db: Database, qes, cfg: MiningConfig):
         stats.sequences_filtered = len(db) - len(working)
 
     c = cfg.constraints
-    singletons = build_singleton_vdbs(working, c, threshold)
+    search_qes = qes if targeted else ()
+    flags = cfg.strategies
+    # The scan reads mine()'s own db, whose sid index outlives the query.
+    scan = Scan(db, c, threshold, search_qes if flags.uqrp else ())
+    singletons = build_singleton_vdbs(working, c, threshold, scan)
     sf = sorted(singletons)
     # The search reads the matrix only at (frequent, frequent) and
     # (frequent, query event); infrequent query events stay in scope so
     # that query pruning reads the same support as over all events.
-    search_qes = qes if targeted else ()
-    flags = cfg.strategies
     psm = (build_psm(working, c, set(sf).union(search_qes))
            if sf and (flags.uqpp or flags.uepp) else None)
-
-    # The scan reads mine()'s own db, whose sid index outlives the query.
-    scan = Scan(db, c, threshold, search_qes if flags.uqrp else ())
     results = _search(search_qes, [singletons[e] for e in sf], psm, scan, cfg, stats)
     if cfg.mode == MODE_FULL_POST:
         results = (r for r in results if contains_subsequence(r.events, qes))

@@ -20,7 +20,12 @@ envelope, and returns rows only for the candidates that reach the support
 threshold, read with the bounds and each sequence from the query's one
 ``Scan``. Given a query there, the scan also drops every row after which
 its sequence no longer holds the unmatched rest of the query (query row
-pruning). It applies the extension rule inline, with its own comparisons.
+pruning), and, under a gap bound, every row from whose envelope no chain
+of gap-bounded steps reaches that rest (``least_ends``), the max-gap
+reachability of constrained sequential miners such as cSPADE. The
+singleton pass applies the same two tests to the seeds it builds, and a
+seed with too few live sequences is never joined. The scan applies the
+extension rule inline, with its own comparisons.
 ``extend_vdb`` joins a prefix with one candidate's singleton rows by a
 plain scan of every later row, through ``model._check_extension``;
 together they are the independent reference the scan is tested against.
@@ -108,22 +113,74 @@ class PairSupportMatrix:
         return len(self._entries)
 
 
-def build_singleton_vdbs(db: Database, c: Constraints,
-                         threshold: float = 0) -> dict[str, VerticalDatabase]:
+def build_singleton_vdbs(db: Database, c: Constraints, threshold: float = 0,
+                         scan: Scan | None = None) -> dict[str, VerticalDatabase]:
     """One vertical database per event type with vertical support at least
     ``threshold``; intervals failing the duration bounds are dropped.
 
     Rows are made only for events that the database's ``event_support``
     puts in at least ``threshold`` sequences, since the duration filter can
-    only lower that count."""
+    only lower that count.
+
+    Given a ``scan`` with a query, the same pass screens the seeds: a
+    seed's rows have matched ``k`` query events, 1 when its event is the
+    query's first and 0 otherwise, and while ``k`` is short of the query a
+    row at ``pos`` is built only when it is live, that is when
+    ``pos < scan[sid][k]`` and, under a gap bound, ``end >=
+    scan.gap_table(sid)[k][pos]``, the tests ``extend_prefix`` applies to a
+    prefix row. Such an event keeps its key whenever it is frequent, as a
+    candidate for the joins, but its database holds its live rows only when
+    at least ``threshold`` sequences have one, and is empty otherwise. Its
+    screen stops, and no table is read for it any more, once its dead
+    sequences (those it holds in the duration bounds with no live row)
+    outnumber its ``event_support`` less the threshold. ``scan.pruned``
+    grows by the screened intervals in the duration bounds that are not
+    built, dead or past the stop."""
     wanted = {e for e, support in db.event_support.items() if support >= threshold}
     min_dura = c.min_dura
     max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
     groups: dict[str, dict[int, list[tuple]]] = {}
+    qes = scan.qes if scan is not None else ()
+    # The screened events, each with the query events its seed has matched,
+    # or None once its screen has stopped.
+    matched = {e: int(e == qes[0]) for e in wanted} if qes else {}
+    if len(qes) == 1:
+        matched.pop(qes[0], None)
+    support = db.event_support
+    seen = dict.fromkeys(matched, 0)  # sequences with an interval in the bounds
+    last = dict.fromkeys(matched)  # the sid ``seen`` last counted
+    gapped = bool(matched) and scan.gapped
+    pruned = 0
     for seq in db.sequences:
         sid = seq.sid
+        table = ends = None
         for pos, (start, end, event) in enumerate(seq.intervals, start=1):
             if event in wanted and min_dura <= end - start <= max_dura:
+                if event in matched:
+                    k = matched[event]
+                    if last[event] != sid:
+                        # Every sequence counted so far is done: a dead one
+                        # has no rows in groups.
+                        if k is not None and (seen[event] - len(groups.get(event, ()))
+                                              > support[event] - threshold):
+                            matched[event] = k = None
+                            groups.pop(event, None)
+                        last[event] = sid
+                        seen[event] += 1
+                    if k is None:
+                        pruned += 1
+                        continue
+                    if table is None:
+                        table = scan[sid]
+                    if pos >= table[k]:
+                        pruned += 1
+                        continue
+                    if gapped:
+                        if ends is None:
+                            ends = scan.gap_table(sid)
+                        if end < ends[k][pos]:
+                            pruned += 1
+                            continue
                 row = (sid, pos, start, end, None, None)
                 by_sid = groups.get(event)
                 if by_sid is None:
@@ -132,8 +189,16 @@ def build_singleton_vdbs(db: Database, c: Constraints,
                     by_sid[sid] = [row]
                 else:
                     rows.append(row)
-    return {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()
+    if pruned:
+        scan.pruned += pruned
+    vdbs = {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()
             if len(by_sid) >= threshold}
+    # A frequent screened event with too few live sequences is a candidate
+    # only; as unscreened, an event with no interval in the bounds is none.
+    for event in matched:
+        if seen[event] >= max(threshold, 1) and event not in vdbs:
+            vdbs[event] = VerticalDatabase((event,), {})
+    return vdbs
 
 
 def build_psm(db: Database, c: Constraints,
@@ -229,6 +294,49 @@ def latest_starts(events, qes) -> tuple[int, ...]:
     return tuple(table)
 
 
+def least_ends(intervals, qes, starts, gap_reach) -> tuple[tuple, ...]:
+    """Entry ``k`` is a table over interval indexes ``i``, 0 to
+    ``len(intervals)``: the least envelope end E from which ``qes[k:]`` can
+    still be embedded through the intervals at index ``i`` or later, or
+    infinity when none can. A step may take a query event or any other
+    interval as a stepping stone, at a later index than the step before; it
+    must start within ``gap_reach`` of E, and it sets E to ``max(E, end)``.
+    A greater E never reaches less, so an envelope reaches the rest exactly
+    when its end is at least the entry. The last entry, for the empty rest,
+    is minus infinity throughout. ``starts`` is ``latest_starts`` of the
+    intervals' events: entries at index ``starts[k]`` or later are
+    infinite, as no embedding starts there, and are not looped over.
+
+    One backward pass per ``k``: from index ``i``, the rest is reached
+    either from ``i + 1`` on, or by a first step on interval ``i``. A stone
+    there helps only when its end reaches what index ``i + 1`` needs, and
+    then needs E to reach its start; a match of ``qes[k]`` needs that too,
+    and E or its end must reach what ``qes[k + 1:]`` needs from ``i + 1``.
+    """
+    size = len(intervals) + 1
+    table = (-_UNBOUNDED,) * size
+    tables = [table]
+    for k in range(len(qes) - 1, -1, -1):
+        q, later = qes[k], table
+        least = _UNBOUNDED
+        column = [_UNBOUNDED] * size
+        for i in range(starts[k] - 1, -1, -1):
+            start, end, event = intervals[i]
+            reach = start - gap_reach
+            if event == q:
+                rest = later[i + 1]
+                if end < rest and reach < rest:
+                    reach = rest
+                if reach < least:
+                    least = reach
+            elif end >= least and reach < least:
+                least = reach
+            column[i] = least
+        table = tuple(column)
+        tables.append(table)
+    return tuple(reversed(tables))
+
+
 class Scan(dict):
     """One query's state for ``extend_prefix``: the join's bounds, derived
     once from the constraints (unset ones read as infinity; ``gap_reach`` is
@@ -237,9 +345,15 @@ class Scan(dict):
     ``qes`` of query row pruning, or (), and ``pruned``, the work it saves.
 
     Each sid of ``db`` maps to its sequence's ``latest_starts`` table for
-    ``qes``, built on the first join with query left that reaches the
-    sequence and kept for the search: a row that has matched ``qes[:m]``
-    can reach the query only if ``eid < table[m]``."""
+    ``qes``, built on the first join or seed screen with query left that
+    reaches the sequence and kept for the search: a row that has matched
+    ``qes[:m]`` can reach the query only if ``eid < table[m]``.
+
+    ``gapped`` is set when there is a query and ``max_gap`` bounds the
+    steps. Then ``gap_table(sid)`` gives the sequence's ``least_ends``
+    tables, built once, on the first read, which comes only for a row that
+    passes the test above: such a row can reach the query only if also
+    ``end_t >= gap_table(sid)[m][eid]``."""
 
     def __init__(self, db: Database, c: Constraints, threshold: int,
                  qes: tuple[str, ...] = ()):
@@ -249,10 +363,19 @@ class Scan(dict):
         self.max_gap = _UNBOUNDED if c.max_gap is None else c.max_gap
         self.max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
         self.gap_reach = max(self.max_gap, self.epsilon)
+        self.gapped = bool(qes) and c.max_gap is not None
+        self.gap_tables: dict[int, tuple[tuple, ...]] = {}
 
     def __missing__(self, sid: int) -> tuple[int, ...]:
         table = self[sid] = latest_starts(self.sequences[sid].events, self.qes)
         return table
+
+    def gap_table(self, sid: int) -> tuple[tuple, ...]:
+        tables = self.gap_tables.get(sid)
+        if tables is None:
+            tables = self.gap_tables[sid] = least_ends(
+                self.sequences[sid].intervals, self.qes, self[sid], self.gap_reach)
+        return tables
 
 
 def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
@@ -295,15 +418,25 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
     hit at ``q_eid`` is kept only if ``q_eid < table[match + 1]`` when its
     event is ``q``, and ``q_eid < table[match]`` otherwise. The test is
     exact: a dropped row's sequence no longer holds the rest of the query
-    after it, so no pattern holding the query descends from it. Since
-    support is counted over the kept hits, the early exit above drops a
-    candidate the test starves. ``scan.pruned`` grows by the rows skipped
-    or cut and the hits dropped inside the window.
+    after it, so no pattern holding the query descends from it. Under a gap
+    bound (``scan.gapped``), with ``need`` the sequence's
+    ``scan.gap_table(sid)``, read from the first row that passes the test
+    above, a prefix row is skipped too when ``end_t < need[match][eid]``,
+    and a hit is dropped when its envelope end ``up`` is below
+    ``need[match + 1][q_eid]`` for ``q`` and ``need[match][q_eid]`` for
+    any other event: no chain of extensions, each starting within
+    ``gap_reach`` of the envelope's end, carries such a row to the rest of
+    the query. The table ignores every other bound, so it drops only rows
+    with no result below them. Since support is counted over the kept
+    hits, the early exit above drops a candidate the tests starve.
+    ``scan.pruned`` grows by the rows skipped or cut and the hits dropped
+    inside the window.
     """
     wanted = set(candidates)
     qes, threshold = scan.qes, scan.threshold
     rest = match < len(qes)
     q = qes[match] if rest else None
+    gapped = rest and scan.gapped
     epsilon, min_gap, max_gap = scan.epsilon, scan.min_gap, scan.max_gap
     min_dura, max_dura, gap_reach = scan.min_dura, scan.max_dura, scan.gap_reach
     pruned = 0
@@ -321,11 +454,19 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
         # Position p is index p - 1, so a hit before position b_q lies
         # below index b_q - 1.
         cap = b_q - 1
+        ends = None
         for r in prefix_rows:
             _, eid, start_t, end_t, _, _ = r
             if eid >= b_other:
                 pruned += 1
                 continue
+            if gapped:
+                if ends is None:
+                    ends = scan.gap_table(sid)
+                    need_other, need_q = ends[match], ends[match + 1]
+                if end_t < need_other[eid]:
+                    pruned += 1
+                    continue
             limit = end_t + gap_reach
             if start_t + max_dura < limit:
                 limit = start_t + max_dura
@@ -365,6 +506,9 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
                 # The composite lasts at least as long as the interval, which
                 # passed min_dura above, so only max_dura can fail it.
                 if up - lo > max_dura:
+                    continue
+                if gapped and up < (need_q if event == q else need_other)[q_eid]:
+                    pruned += 1
                     continue
                 hit = (sid, q_eid, lo, up, rel, r)
                 by_sid = hits.get(event)

@@ -86,3 +86,25 @@ def earliest_starts(events, qes):
                   and (not rest or contains_subsequence(events[pos:], rest))]
         table.append(starts[0] if starts else 0)
     return tuple(table) + (len(events) + 1,)
+
+
+def stoneless_ends(intervals, qes, starts, gap_reach):
+    """Like ``tirpmine.vertical.least_ends``, but every step of a chain must
+    be the next query event: no other interval may serve as a stepping
+    stone. As the gap table of query row pruning it is too tight: a chain
+    that bridges a long gap through other intervals is missed, and rows
+    that can still reach the query are dropped, so tests patch it in to show
+    that they catch such a table."""
+    inf = float("inf")
+    size = len(intervals) + 1
+    tables = [(-inf,) * size]
+    for k in range(len(qes) - 1, -1, -1):
+        later, column, least = tables[0], [inf] * size, inf
+        for i in range(size - 2, -1, -1):
+            start, end, event = intervals[i]
+            if event == qes[k]:
+                rest = later[i + 1]
+                least = min(least, max(start - gap_reach, rest if end < rest else -inf))
+            column[i] = least
+        tables.insert(0, tuple(column))
+    return tuple(tables)

@@ -12,6 +12,7 @@ from tirpmine import (
     GeneratorParams,
     MiningConfig,
     Span,
+    StrategyFlags,
     SymbolicInterval,
     TimeIntervalSequence,
     build_psm,
@@ -35,9 +36,10 @@ from tirpmine.vertical import (
     VerticalDatabase,
     extend_prefix,
     latest_starts,
+    least_ends,
 )
 
-from conftest import EXAMPLE_CONSTRAINTS, earliest_starts, random_trial
+from conftest import EXAMPLE_CONSTRAINTS, earliest_starts, random_trial, stoneless_ends
 
 
 class TestSingletonVdbs:
@@ -424,14 +426,79 @@ def test_query_reach_builds_a_sequence_table_once():
     assert len(scan) == 2
 
 
+def _chain_reaches(intervals, index, end, rest, gap_reach) -> bool:
+    """Whether ``rest`` embeds in a chain of steps through
+    ``intervals[index:]`` from an envelope ending at ``end``, by brute
+    force: every later interval that starts within ``gap_reach`` of the
+    envelope's end is tried, as the next event of ``rest`` when it is one
+    and as a stepping stone either way, and the step moves the end to the
+    greater of the two."""
+    todo, done = [(index, end, 0)], set()
+    while todo:
+        state = todo.pop()
+        if state in done:
+            continue
+        done.add(state)
+        index, end, matched = state
+        if matched == len(rest):
+            return True
+        for nxt in range(index, len(intervals)):
+            start, stop, event = intervals[nxt]
+            if start - end <= gap_reach:
+                todo.append((nxt + 1, max(end, stop), matched))
+                if event == rest[matched]:
+                    todo.append((nxt + 1, max(end, stop), matched + 1))
+    return False
+
+
+def _gap_reach(c: Constraints) -> float:
+    return math.inf if c.max_gap is None else max(c.max_gap, c.epsilon)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_least_ends_is_the_least_end_a_chain_reaches_the_rest_from(seed):
+    """Each entry of the gap table, on random sequences at epsilon 0 to 2
+    and max_gap finite or unbounded: a chain from an envelope ending at the
+    entry reaches the rest of the query, and none from one unit less; an
+    infinite entry is reached from no end, and with no gap bound the finite
+    entries are exactly those below ``latest_starts``'."""
+    rng = random.Random(seed)
+    epsilon = seed % 3
+    for _ in range(4):
+        seq = make_sequence(1, {(s, s + rng.randint(0, 6), rng.choice("ABC"))
+                                for s in (rng.randrange(40) for _ in range(rng.randint(0, 9)))},
+                            epsilon)
+        intervals, events = seq.intervals, seq.events
+        qes = tuple(rng.choice("ABC") for _ in range(rng.randint(1, 3)))
+        starts = latest_starts(events, qes)
+        for max_gap in (rng.randint(0, 8), None):
+            reach = _gap_reach(Constraints(epsilon=epsilon, max_gap=max_gap))
+            tables = least_ends(intervals, qes, starts, reach)
+            assert len(tables) == len(qes) + 1
+            assert tables[-1] == (-math.inf,) * (len(intervals) + 1)
+            for k, table in enumerate(tables[:-1]):
+                assert len(table) == len(intervals) + 1
+                for i, least in enumerate(table):
+                    if max_gap is None:
+                        assert (least == -math.inf) == (i < starts[k]), (k, i)
+                    if math.isinf(least):
+                        end = 10 ** 6 if least > 0 else -10 ** 6
+                        assert _chain_reaches(intervals, i, end, qes[k:], reach) == (least < 0)
+                    else:
+                        assert _chain_reaches(intervals, i, least, qes[k:], reach)
+                        assert not _chain_reaches(intervals, i, least - 1, qes[k:], reach)
+
+
 def _reach_mismatches(seeds):
     """Run ``extend_prefix`` with a query's ``Scan`` against the full join
-    filtered by ``_embeds_after`` and return (cases that differ, cases
+    filtered by ``_chain_reaches`` and return (cases that differ, cases
     whose rows the filter changed, total ``scan.pruned``).
 
-    The expected rows of a candidate are those of ``extend_vdb`` whose
-    sequence still holds the rest of the query, after the candidate has
-    matched its query event if it is the next one, after the row's eid; the
+    The expected rows of a candidate are those of ``extend_vdb`` from whose
+    envelope end a chain of steps within ``max(max_gap, epsilon)`` of it,
+    through the intervals after the row's eid, still holds the rest of the
+    query, after the candidate has matched its query event if it is the
+    next one; with no gap bound, any embedding after the row's eid does. The
     candidates returned are those with at least ``threshold`` sequences
     left. Prefixes are singletons and the full joins of two events, at
     epsilon 0 to 2, with queries of one to three events."""
@@ -440,6 +507,7 @@ def _reach_mismatches(seeds):
         db, c, min_sup, qes = random_trial(seed, epsilon=seed % 3)
         rng = random.Random(seed)
         sequences = db.sequence_by_sid
+        reach = _gap_reach(c)
         singletons = build_singleton_vdbs(db, c)
         events = sorted(singletons)
         if not events:
@@ -460,8 +528,8 @@ def _reach_mismatches(seeds):
                 for e in candidates:
                     after = match + (match < len(query) and e == query[match])
                     full = extend_vdb(prefix, e, singletons[e], c).by_sid
-                    kept = {sid: [r for r in rows
-                                  if _embeds_after(sequences[sid].events, r[1], query[after:])]
+                    kept = {sid: [r for r in rows if _chain_reaches(
+                                sequences[sid].intervals, r[1], r[3], query[after:], reach)]
                             for sid, rows in full.items()}
                     kept = {sid: rows for sid, rows in kept.items() if rows}
                     filtered += kept != full
@@ -493,6 +561,100 @@ def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
     monkeypatch.setattr("tirpmine.vertical.latest_starts", earliest_starts)
     mismatches, _, _ = _reach_mismatches(range(60))
     assert mismatches > 0
+
+
+def test_reach_without_stepping_stones_drops_rows_it_must_keep(monkeypatch):
+    """A gap table whose chains may step only on query events misses the
+    chains that bridge a gap through other intervals: the check above
+    fails."""
+    monkeypatch.setattr("tirpmine.vertical.least_ends", stoneless_ends)
+    mismatches, _, _ = _reach_mismatches(range(60))
+    assert mismatches > 0
+
+
+def test_the_seed_screen_builds_the_live_rows():
+    """With a query's ``Scan``, ``build_singleton_vdbs`` keeps every
+    frequent event, and an event with query left after its seed holds the
+    rows ``_chain_reaches`` keeps, when at least ``threshold`` sequences
+    have one, and none otherwise; the query's event when it is the whole
+    query keeps all its rows. At threshold 1 no screen stops, and
+    ``scan.pruned`` is the number of rows left out. At epsilon 0 to 2,
+    queries of one to three events."""
+    emptied = kept = 0
+    for seed in range(60):
+        db, c, min_sup, qes = random_trial(seed, epsilon=seed % 3)
+        rng = random.Random(seed)
+        reach = _gap_reach(c)
+        full = build_singleton_vdbs(db, c)
+        queries = [qes] + [tuple(rng.choice(db.alphabet) for _ in range(rng.randint(1, 3)))
+                           for _ in range(2)]
+        for query in queries:
+            live = {}
+            for e, v in full.items():
+                rest = query[int(e == query[0]):]
+                rows = {sid: [r for r in rows if _chain_reaches(
+                            db.sequence_by_sid[sid].intervals, r[1], r[3], rest, reach)]
+                        for sid, rows in v.by_sid.items()}
+                live[e] = {sid: rows for sid, rows in rows.items() if rows}
+            dead = sum(len(v.rows) for v in full.values()) - sum(
+                len(rows) for v in live.values() for rows in v.values())
+            supports = {len(v) for v in live.values()}
+            for t in sorted({1, min_sup * len(db)} | supports | {v + 1 for v in supports}):
+                if t < 1:
+                    continue
+                scan = Scan(db, c, t, query)
+                screened = build_singleton_vdbs(db, c, t, scan)
+                assert screened.keys() == build_singleton_vdbs(db, c, t).keys()
+                for e, v in screened.items():
+                    want = live[e] if len(live[e]) >= t else {}
+                    assert v.events == (e,) and v.by_sid == want
+                    emptied += not want
+                    kept += bool(want) and want != full[e].by_sid
+                if t == 1:
+                    assert scan.pruned == dead
+                # A gap table is built only for a sequence where some
+                # screened row passes ``latest_starts``.
+                assert scan.gap_tables.keys() <= {
+                    sid for e, v in full.items() if (k := int(e == query[0])) < len(query)
+                    for sid, rows in v.by_sid.items() if any(r[1] < scan[sid][k] for r in rows)}
+    # Some frequent event was left with no seed, and some seed lost rows.
+    assert emptied > 0 and kept > 0
+
+
+def test_a_seed_screen_stops_once_its_dead_sequences_pass_the_spare(monkeypatch):
+    """An event whose live sequences cannot reach the threshold stops
+    being screened after support - threshold + 1 dead sequences: only so
+    many ``latest_starts`` tables and gap tables are built for it. It stays
+    a frequent candidate with no rows; the query's own event, the whole
+    query, keeps all its rows unscreened."""
+    calls = Counter()
+    starts, ends = latest_starts, least_ends
+
+    def counted_starts(events, qes):
+        calls["starts"] += 1
+        return starts(events, qes)
+
+    def counted_ends(*args):
+        calls["ends"] += 1
+        return ends(*args)
+
+    monkeypatch.setattr("tirpmine.vertical.latest_starts", counted_starts)
+    monkeypatch.setattr("tirpmine.vertical.least_ends", counted_ends)
+    # A before B across a gap of 20, then B before A: all A rows are dead,
+    # by the gap bound or by latest_starts.
+    lines = [f"{sid}|A,0,1 B,21,22" if sid % 2 else f"{sid}|B,0,1 A,2,3"
+             for sid in range(1, 13)]
+    db = parse_database("\n".join(lines) + "\n")
+    c = Constraints(max_gap=5)
+    for threshold in (3, 7, 12):
+        calls.clear()
+        scan = Scan(db, c, threshold, ("B",))
+        vdbs = build_singleton_vdbs(db, c, threshold, scan)
+        assert vdbs["A"].by_sid == {}
+        assert vdbs["B"].vertical_support() == 12
+        assert calls["starts"] == 12 - threshold + 1 == len(scan)
+        assert calls["ends"] == len(scan.gap_tables) <= calls["starts"]
+        assert scan.pruned == 12
 
 
 def test_extend_prefix_reads_any_database_that_holds_the_prefix():
@@ -535,10 +697,15 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
     """A query's ``Scan`` is its joins' one view of the sequences, over
     ``random_trial`` databases at epsilon 0 to 2:
 
-    * a mined query, targeted or full, reads each sequence's
-      ``start_minima`` property at most once, however many joins reach the
-      sequence, and builds its query table at most once, and none in full
-      mining;
+    * a mined query, targeted (with and without sequence filtering) or
+      full, reads each sequence's ``start_minima`` property at most once,
+      however many joins reach the sequence, and builds its query table at
+      most once, for a sequence a join or the seed screen reaches, and none
+      in full mining;
+    * it builds a sequence's gap table at most once too, and only under a
+      gap bound, in targeted mining, for a sequence that holds the query;
+      a join builds none for a sequence whose ``latest_starts`` rules out
+      every prefix row there;
     * a scan of ``db`` serves prefixes of ``db.restrict``: it reads the
       same sequence objects and builds the tables a scan of the
       restriction builds;
@@ -546,8 +713,10 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
       query row pruning, gives ``extend_vdb``'s rows for every candidate at
       or above the threshold, and prunes nothing at any ``match``; so does
       a scan whose query is matched, which builds no table."""
-    reads, reached, tables = Counter(), Counter(), Counter()
+    reads, reached, tables, gaps = Counter(), Counter(), Counter(), Counter()
     start_minima, join = TimeIntervalSequence.start_minima, miner.extend_prefix
+    seeds, ends = miner.build_singleton_vdbs, least_ends
+    sid_of = {}
 
     def counted_minima(seq):
         reads[seq.sid] += 1
@@ -557,26 +726,42 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
         tables[sid] += 1
         return missing(self, sid)
 
+    def counted_ends(intervals, *args):
+        gaps[sid_of[id(intervals)]] += 1
+        return ends(intervals, *args)
+
     def counted_join(prefix, candidates, scan, match=0):
         reached.update(prefix.by_sid.keys())
         return join(prefix, candidates, scan, match)
 
+    def counted_seeds(db, *args):
+        reached.update(seq.sid for seq in db.sequences)
+        return seeds(db, *args)
+
     missing = Scan.__missing__
     monkeypatch.setattr(TimeIntervalSequence, "start_minima", property(counted_minima))
     monkeypatch.setattr(miner, "extend_prefix", counted_join)
+    monkeypatch.setattr(miner, "build_singleton_vdbs", counted_seeds)
     monkeypatch.setattr(Scan, "__missing__", counted_table)
-    shared = 0
+    monkeypatch.setattr("tirpmine.vertical.least_ends", counted_ends)
+    shared, ruled_out, gapped = 0, 0, Counter()
     for seed in range(12):
         for epsilon in (0, 1, 2):
             db, c, min_sup, qes = random_trial(seed, epsilon=epsilon)
-            for mode in ("targeted", "full"):
-                for counter in (reads, reached, tables):
+            sid_of = {id(seq.intervals): seq.sid for seq in db.sequences}
+            holds = {seq.sid for seq in db.sequences if latest_starts(seq.events, qes)[0]}
+            for mode, usfp in (("targeted", True), ("targeted", False), ("full", True)):
+                for counter in (reads, reached, tables, gaps):
                     counter.clear()
                 mine(db, qes, MiningConfig(min_sup=min_sup, constraints=c, mode=mode,
+                                           strategies=StrategyFlags(usfp=usfp),
                                            max_pattern_length=4))
                 assert set(reads.values()) <= {1} and reads.keys() <= reached.keys()
                 assert set(tables.values()) <= {1} and tables.keys() <= reached.keys()
                 assert mode == "targeted" or not tables
+                assert set(gaps.values()) <= {1} and gaps.keys() <= tables.keys() & holds
+                assert mode == "targeted" and c.max_gap is not None or not gaps
+                gapped[c.max_gap is not None, bool(tables), bool(gaps)] += 1
                 shared += sum(reached[sid] > 1 for sid in reads)
 
             t = max(1, math.ceil(min_sup * len(db)))
@@ -587,6 +772,8 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
             for seq in restricted.sequences:
                 assert whole.sequences[seq.sid] is seq is own.sequences[seq.sid]
                 assert whole[seq.sid] == own[seq.sid] == latest_starts(seq.events, qes)
+                if c.max_gap is not None:
+                    assert whole.gap_table(seq.sid) == own.gap_table(seq.sid)
             for prefix in singletons.values():
                 want = {e: list(ext.by_sid.items()) for e in events
                         if (ext := extend_vdb(prefix, e, singletons[e], c)).vertical_support() >= t}
@@ -595,9 +782,19 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
                 for scan, match in runs:
                     got = extend_prefix(prefix, events, scan, match)
                     assert {e: list(v.by_sid.items()) for e, v in got.items()} == want
-                    assert scan.pruned == 0 and not scan
-    # Some sequence was reached by more than one join of one query.
-    assert shared > 0
+                    assert scan.pruned == 0 and not scan and not scan.gap_tables
+                scan = Scan(db, c, t, qes)
+                extend_prefix(prefix, events, scan)
+                passing = {sid for sid, rows in prefix.by_sid.items()
+                           if any(r[1] < scan[sid][0] for r in rows)}
+                assert scan.gap_tables.keys() <= passing
+                ruled_out += len((prefix.by_sid.keys() & holds) - passing)
+    # Some sequence was reached by more than one join of one query; gap
+    # tables were built under a gap bound, and some trial without one
+    # built query tables but no gap table; some sequence held the query
+    # but no row of a prefix there passed ``latest_starts``.
+    assert shared > 0 and ruled_out > 0
+    assert gapped[True, True, True] > 0 and gapped[False, True, False] > 0
 
 
 def _replay_relations(seq, row: PatternOccurrence, epsilon: int) -> None:
