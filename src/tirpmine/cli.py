@@ -10,7 +10,7 @@ from .database import (
     DatabaseError,
     GeneratorParams,
     _sequence_line,
-    generate_synthetic,
+    _synthetic_sequences,
     parse_database,
 )
 from .miner import (
@@ -224,11 +224,11 @@ def _cmd_gen(args) -> int:
         max_duration=args.max_duration,
         seed=args.seed,
     )
-    db = generate_synthetic(params)
-    # A line per write, as mine does, so a reader that closes early ends
-    # the run in main's OSError branch.
+    # A sequence at a time and a line per write, as mine does: memory does
+    # not grow with the database, and a reader that closes early ends the
+    # run in main's OSError branch.
     with _open(args.output) as fh:
-        fh.writelines(map(_sequence_line, db.sequences))
+        fh.writelines(map(_sequence_line, _synthetic_sequences(params)))
     return 0
 
 

@@ -285,14 +285,17 @@ def generate_synthetic(p: GeneratorParams) -> Database:
     uniform in [0, max_time), duration uniform in [1, max_duration]. Exact
     duplicates within a sequence are re-drawn.
     """
+    return Database(tuple(_synthetic_sequences(p)))
+
+
+def _synthetic_sequences(p: GeneratorParams):
+    """The sequences of ``generate_synthetic(p)``, made one at a time."""
     rng = random.Random(p.seed)
     alphabet = [str(i) for i in range(p.alphabet_size)]
-    sequences = []
     for sid in range(1, p.num_sequences + 1):
         chosen: set[tuple[int, int, str]] = set()
         while len(chosen) < p.intervals_per_sequence:
             start = rng.randrange(p.max_time)
             end = start + rng.randint(1, p.max_duration)
             chosen.add((start, end, rng.choice(alphabet)))
-        sequences.append(make_sequence(sid, chosen))
-    return Database(tuple(sequences))
+        yield make_sequence(sid, chosen)

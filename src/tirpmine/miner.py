@@ -92,9 +92,9 @@ class STirpResult:
 @dataclass
 class MiningStats:
     """Counters of one run. ``pruned_uqrp`` counts the work query row
-    pruning saves: prefix rows a join skips or whose window it cuts short,
-    hits it drops, by the query table or the gap table, and intervals the
-    seed screen leaves unbuilt, found dead or met after the event's screen
+    pruning saves: prefix rows whose window a join cuts short, hits it
+    drops, by the query table or the gap table, and intervals the seed
+    screen leaves unbuilt, found dead or met after the event's screen
     stopped."""
 
     sequences_filtered: int = 0

@@ -18,14 +18,15 @@ scans each prefix row's own sequence over the intervals the row can reach,
 those after it whose start lies within the gap and duration bounds of its
 envelope, and returns rows only for the candidates that reach the support
 threshold, read with the bounds and each sequence from the query's one
-``Scan``. Given a query there, the scan also drops every row after which
+``Scan``. Given a query there, the scan also drops every hit after which
 its sequence no longer holds the unmatched rest of the query (query row
-pruning), and, under a gap bound, every row from whose envelope no chain
+pruning), and, under a gap bound, every hit from whose envelope no chain
 of gap-bounded steps reaches that rest (``least_ends``), the max-gap
 reachability of constrained sequential miners such as cSPADE. The
 singleton pass applies the same two tests to the seeds it builds, and a
-seed with too few live sequences is never joined. The scan applies the
-extension rule inline, with its own comparisons.
+seed with too few live sequences is never joined: each row is tested
+once, where it is born. The scan applies the extension rule inline, with
+its own comparisons.
 ``extend_vdb`` joins a prefix with one candidate's singleton rows by a
 plain scan of every later row, through ``model._check_extension``;
 together they are the independent reference the scan is tested against.
@@ -275,20 +276,20 @@ def extend_vdb(
     return VerticalDatabase(prefix.events + (candidate,), by_sid)
 
 
-def latest_starts(events, qes) -> tuple[int, ...]:
+def latest_starts(intervals, qes) -> tuple[int, ...]:
     """Entry ``k`` is the greatest position at which an embedding of
-    ``qes[k:]`` in ``events`` can start, or 0 when ``events`` holds none.
-    The last entry, for the empty rest, is ``len(events) + 1``, a position
-    past every interval.
+    ``qes[k:]`` in the events of ``intervals``, ``(start, end, event)``
+    triples, can start, or 0 when they hold none. The last entry, for the
+    empty rest, is ``len(intervals) + 1``, a position past every interval.
 
     One right-to-left greedy pass: each query event, last first, is matched
     at its latest position before the match of the one after it."""
-    table = [0] * len(qes) + [len(events) + 1]
+    table = [0] * len(qes) + [len(intervals) + 1]
     k = len(qes) - 1
-    for pos in range(len(events), 0, -1):
+    for pos in range(len(intervals), 0, -1):
         if k < 0:
             break
-        if events[pos - 1] == qes[k]:
+        if intervals[pos - 1][2] == qes[k]:
             table[k] = pos
             k -= 1
     return tuple(table)
@@ -304,7 +305,7 @@ def least_ends(intervals, qes, starts, gap_reach) -> tuple[tuple, ...]:
     A greater E never reaches less, so an envelope reaches the rest exactly
     when its end is at least the entry. The last entry, for the empty rest,
     is minus infinity throughout. ``starts`` is ``latest_starts`` of the
-    intervals' events: entries at index ``starts[k]`` or later are
+    intervals: entries at index ``starts[k]`` or later are
     infinite, as no embedding starts there, and are not looped over.
 
     One backward pass per ``k``: from index ``i``, the rest is reached
@@ -351,8 +352,9 @@ class Scan(dict):
 
     ``gapped`` is set when there is a query and ``max_gap`` bounds the
     steps. Then ``gap_table(sid)`` gives the sequence's ``least_ends``
-    tables, built once, on the first read, which comes only for a row that
-    passes the test above: such a row can reach the query only if also
+    tables, built once, on the first read: by the seed screen, for a row
+    that passes the test above, or by a join with query left that reaches
+    the sequence. A row that passes it can reach the query only if also
     ``end_t >= gap_table(sid)[m][eid]``."""
 
     def __init__(self, db: Database, c: Constraints, threshold: int,
@@ -367,7 +369,7 @@ class Scan(dict):
         self.gap_tables: dict[int, tuple[tuple, ...]] = {}
 
     def __missing__(self, sid: int) -> tuple[int, ...]:
-        table = self[sid] = latest_starts(self.sequences[sid].events, self.qes)
+        table = self[sid] = latest_starts(self.sequences[sid].intervals, self.qes)
         return table
 
     def gap_table(self, sid: int) -> tuple[tuple, ...]:
@@ -412,25 +414,29 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
     whatever the threshold.
 
     Query row pruning: while ``match`` is short of the query, with ``q``
-    the next query event and ``table`` the row's sequence's
-    ``scan[sid]``, a prefix row is skipped when ``eid >= table[match]``,
-    its window is cut to end before position ``table[match + 1]``, and a
-    hit at ``q_eid`` is kept only if ``q_eid < table[match + 1]`` when its
-    event is ``q``, and ``q_eid < table[match]`` otherwise. The test is
-    exact: a dropped row's sequence no longer holds the rest of the query
+    the next query event and ``table`` the row's sequence's ``scan[sid]``,
+    a row's window is cut to end before position ``table[match + 1]``, and
+    a hit at ``q_eid`` is kept only if ``q_eid < table[match + 1]`` when
+    its event is ``q``, and ``q_eid < table[match]`` otherwise. The test is
+    exact: a dropped hit's sequence no longer holds the rest of the query
     after it, so no pattern holding the query descends from it. Under a gap
     bound (``scan.gapped``), with ``need`` the sequence's
-    ``scan.gap_table(sid)``, read from the first row that passes the test
-    above, a prefix row is skipped too when ``end_t < need[match][eid]``,
-    and a hit is dropped when its envelope end ``up`` is below
-    ``need[match + 1][q_eid]`` for ``q`` and ``need[match][q_eid]`` for
-    any other event: no chain of extensions, each starting within
-    ``gap_reach`` of the envelope's end, carries such a row to the rest of
-    the query. The table ignores every other bound, so it drops only rows
-    with no result below them. Since support is counted over the kept
-    hits, the early exit above drops a candidate the tests starve.
-    ``scan.pruned`` grows by the rows skipped or cut and the hits dropped
-    inside the window.
+    ``scan.gap_table(sid)``, read once per sequence beside ``table``, a hit
+    is dropped too when its envelope end ``up`` is below
+    ``need[match + 1][q_eid]`` for ``q`` and ``need[match][q_eid]`` for any
+    other event: no chain of extensions, each starting within ``gap_reach``
+    of the envelope's end, carries such a row to the rest of the query. The
+    table ignores every other bound, so it drops only rows with no result
+    below them. Since support is counted over the kept hits, the early exit
+    above drops a candidate the tests starve. ``scan.pruned`` grows by the
+    windows cut and the hits dropped inside them.
+
+    A prefix row is not tested: in the miner it was tested where it was
+    born, as a seed or a hit. The result holds for any prefix all the same.
+    A dead row's hits of other events lie at or past ``table[match]``; no
+    ``q`` lies between it and ``table[match + 1]``, as ``latest_starts`` is
+    maximal; and a hit that passed the gap test would be a chain carrying
+    the row to the query.
     """
     wanted = set(candidates)
     qes, threshold = scan.qes, scan.threshold
@@ -449,29 +455,21 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
         if rest:
             table = scan[sid]
             b_other, b_q = table[match], table[match + 1]
+            if gapped:
+                need = scan.gap_table(sid)
+                need_other, need_q = need[match], need[match + 1]
         else:
             b_other = b_q = len(intervals) + 1  # past every position: no bound
         # Position p is index p - 1, so a hit before position b_q lies
-        # below index b_q - 1.
-        cap = b_q - 1
-        ends = None
+        # below index b_q - 1; b_q is 0 when the sequence holds none of
+        # qes[match + 1:], and then no index is, as a cap of -1 would wrap.
+        cap = b_q - 1 if b_q else 0
         for r in prefix_rows:
             _, eid, start_t, end_t, _, _ = r
-            if eid >= b_other:
-                pruned += 1
-                continue
-            if gapped:
-                if ends is None:
-                    ends = scan.gap_table(sid)
-                    need_other, need_q = ends[match], ends[match + 1]
-                if end_t < need_other[eid]:
-                    pruned += 1
-                    continue
             limit = end_t + gap_reach
             if start_t + max_dura < limit:
                 limit = start_t + max_dura
-            # Position eid + 1 is index eid. An empty window gives hi == eid,
-            # never above cap: eid < b_other < b_q, or cap is the length.
+            # Position eid + 1 is index eid.
             hi = bisect_right(minima, limit, eid)
             if hi > cap:
                 hi = cap

@@ -74,11 +74,12 @@ def random_trial(seed: int, epsilon: int | None = None):
     return db, constraints, min_sup, qes
 
 
-def earliest_starts(events, qes):
+def earliest_starts(intervals, qes):
     """Like ``tirpmine.vertical.latest_starts``, but entry ``k`` is where the
     leftmost embedding of ``qes[k:]`` starts. As the table of query row
     pruning it is too tight: it drops rows that can still reach the query,
     so tests patch it in to show that they catch such a bound."""
+    events = [event for _, _, event in intervals]
     table = []
     for k in range(len(qes)):
         first, rest = qes[k], qes[k + 1:]

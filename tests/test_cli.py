@@ -1,11 +1,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from tirpmine import StrategyFlags, cli
+from tirpmine import GeneratorParams, StrategyFlags, cli, generate_synthetic, serialize_database
 from tirpmine.cli import main
 
 from conftest import EXAMPLE_TEXT
@@ -345,6 +346,25 @@ class TestGen:
             env=module_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert len(db_path.read_text().splitlines()) == 3
+
+    def test_writes_the_database_generate_synthetic_makes(self, tmp_path):
+        path = tmp_path / "gen.db"
+        assert main(["gen", "--sequences", "40", "--intervals", "6", "--alphabet", "5",
+                     "--seed", "4", "--output", str(path)]) == 0
+        db = generate_synthetic(GeneratorParams(40, 6, 5, seed=4))
+        assert path.read_text() == serialize_database(db)
+
+    def test_memory_does_not_grow_with_the_sequences(self):
+        # gen holds one sequence at a time; the whole database of 20,000
+        # sequences would trace about 11.5 MB.
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--sequences", "20000", "--intervals", "4",
+                         "--alphabet", "10", "--seed", "3", "--output", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_zero_sequences_fails(self, tmp_path, capsys):
         code = main(["gen", "--sequences", "0", "--intervals", "5",
