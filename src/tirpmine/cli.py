@@ -121,8 +121,10 @@ def _parse_qes(args, required: bool) -> tuple[str, ...] | None:
 
 
 def _load_db(args):
+    # Parsed from the open file a line at a time, never held whole. Bytes
+    # that are not UTF-8 raise UnicodeDecodeError, a ValueError, mid-parse.
     with open(args.input, encoding="utf-8") as fh:
-        return parse_database(fh.read(), epsilon=args.epsilon)
+        return parse_database(fh, epsilon=args.epsilon)
 
 
 def _open(path: str | None):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
@@ -52,11 +53,13 @@ class Database:
     sequences: tuple[TimeIntervalSequence, ...]
 
     def __post_init__(self):
-        sids = set()
+        # The sid check builds the sid index, which the database keeps.
+        by_sid = {}
         for seq in self.sequences:
-            if seq.sid in sids:
+            if seq.sid in by_sid:
                 raise DatabaseError(f"duplicate sequence id {seq.sid}")
-            sids.add(seq.sid)
+            by_sid[seq.sid] = seq
+        vars(self)["sequence_by_sid"] = by_sid  # fills the cached property
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -78,8 +81,9 @@ class Database:
 
     @functools.cached_property
     def sequence_by_sid(self) -> dict[int, TimeIntervalSequence]:
-        """Each sequence by its sid. Built on first use and kept, like the
-        event index."""
+        """Each sequence by its sid. Filled when the database is made, by
+        its sid check or by the parse's; a database made by ``restrict``
+        builds it on first use and keeps it, like the event index."""
         return {seq.sid: seq for seq in self.sequences}
 
     @functools.cached_property
@@ -203,16 +207,41 @@ def make_sequence(
     return TimeIntervalSequence(sid, tuple(intervals))
 
 
-def parse_database(text: str, epsilon: int = 0) -> Database:
-    """Parse the line-oriented database format, reporting line numbers on error."""
-    sequences = []
-    sids = set()
+# The parse splits a text in blocks of about this many characters, each
+# ending just after a "\n", so that it never holds a list of every line.
+_BLOCK = 1 << 16
+
+
+def _lines(source: str | Iterable[str]) -> Iterator[str]:
+    """The lines of ``source`` without their ends, one at a time: those of
+    ``source.splitlines()`` for a ``str``, else those of each item of an
+    iterable of lines, such as an open text file, in turn. An item with no
+    line break, the empty string too, is one line."""
+    if not isinstance(source, str):
+        for item in source:
+            yield from item.splitlines() or (item,)
+        return
+    start, size = 0, len(source)
+    while start < size:
+        # "\n" ends every kind of line break that can span two characters
+        # ("\r\n"), so a block never splits one.
+        end = source.find("\n", start + _BLOCK - 1) + 1 or size
+        yield from source[start:end].splitlines()
+        start = end
+
+
+def parse_database(text: str | Iterable[str], epsilon: int = 0) -> Database:
+    """Parse the line-oriented database format, reporting line numbers on
+    error. ``text`` is the whole text or any iterable of its lines, such
+    as an open text file; either is read a line at a time."""
+    # The sid index the database keeps, filled as the sids are checked.
+    by_sid: dict[int, TimeIntervalSequence] = {}
     # One string per distinct event name, so that every per-interval probe
     # of a dict or set keyed by events reads the same few objects. The
     # table is local to this call: unlike sys.intern, it leaves nothing
     # behind once the database is freed.
     names: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -225,9 +254,8 @@ def parse_database(text: str, epsilon: int = 0) -> Database:
             raise DatabaseError(f"line {line_no}: bad sequence id {sid_part!r}") from None
         if sid <= 0:
             raise DatabaseError(f"line {line_no}: sequence id must be positive")
-        if sid in sids:
+        if sid in by_sid:
             raise DatabaseError(f"line {line_no}: duplicate sequence id {sid}")
-        sids.add(sid)
         intervals = []
         for tok in body.split():
             parts = tok.split(",")
@@ -241,12 +269,13 @@ def parse_database(text: str, epsilon: int = 0) -> Database:
                     f"line {line_no}: non-integer timestamp in {tok!r}"
                 ) from None
             intervals.append((start, end, names.setdefault(event, event)))
-        sequences.append(make_sequence(sid, intervals, epsilon, line_no))
-    # Database checks the sids again with a set of its own. Free this one
-    # first, so that the parse never holds both: on 100,000 sequences the
-    # second set added 1.5 MB to peak RSS.
-    del sids
-    return Database(tuple(sequences))
+        by_sid[sid] = make_sequence(sid, intervals, epsilon, line_no)
+    # The sids are checked, so the database is made without its own check,
+    # as restrict makes one, and keeps the parse's index.
+    db = object.__new__(Database)
+    object.__setattr__(db, "sequences", tuple(by_sid.values()))
+    vars(db)["sequence_by_sid"] = by_sid  # fills the cached property
+    return db
 
 
 def _sequence_line(seq: TimeIntervalSequence) -> str:

@@ -235,6 +235,33 @@ def test_refused_run_leaves_the_output_file_as_it_was(tmp_path, db_text, extra):
     assert out.read_bytes() == b"kept\n"
 
 
+@pytest.mark.parametrize(
+    "before", [b"", b"".join(b"%d|A,0,5\n" % sid for sid in range(1, 2_001))],
+    ids=["first-line", "past-the-decoders-first-chunk"])
+def test_input_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys, before):
+    # The file is decoded as it is parsed, so the byte's position is
+    # counted within the decoder's chunk and is not pinned here.
+    db, out = tmp_path / "in.db", tmp_path / "out.tsv"
+    db.write_bytes(before + b"9999|A,0,5 \xff,1,2\n")
+    out.write_bytes(b"kept\n")
+    assert main(["mine", "--input", str(db), *MINE_FLAGS, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tirpmine mine: 'utf-8' codec can't decode byte 0xff in position ")
+    assert err.count("\n") == 1 and err.endswith(": invalid start byte\n")
+    assert out.read_bytes() == b"kept\n"
+
+
+def test_crlf_input_mines_as_lf(example_file, tmp_path):
+    crlf = tmp_path / "crlf.db"
+    crlf.write_bytes(example_file.read_bytes().replace(b"\n", b"\r\n"))
+    outputs = []
+    for path in (example_file, crlf):
+        out = tmp_path / f"{path.stem}.tsv"
+        assert main(["mine", "--input", str(path), *MINE_FLAGS, "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] != b""
+
+
 def test_malformed_input_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.db"
     bad.write_text("1|A,5,2\n")
