@@ -121,9 +121,9 @@ def _parse_qes(args, required: bool) -> tuple[str, ...] | None:
 
 
 def _load_db(args):
-    # Parsed from the open file a line at a time, never held whole. Bytes
-    # that are not UTF-8 raise UnicodeDecodeError, a ValueError, mid-parse.
-    with open(args.input, encoding="utf-8") as fh:
+    # Parsed a line at a time, never held whole, past any byte-order mark.
+    # Bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError.
+    with open(args.input, encoding="utf-8-sig") as fh:
         return parse_database(fh, epsilon=args.epsilon)
 
 
@@ -164,7 +164,10 @@ def _cmd_mine(args) -> int:
     cfg = _config(args, strategies=flags, mode=args.mode)
     db = _load_db(args)
     results, stats = _mine_stream(db, qes, cfg)
-    # Every check is made by now, so a refused run leaves --output as it was.
+    # Every check is made by now, and the stats path opens to append, which
+    # writes nothing, so a refused run leaves --output as it was.
+    if args.stats:
+        open(args.stats, "a", encoding="utf-8").close()
     with _open(args.output) as fh:
         fh.writelines(map(_result_line, results))
     if args.stats:

@@ -177,34 +177,31 @@ def sort_intervals(intervals, epsilon: int = 0) -> list:
     return sorted(intervals, key=functools.cmp_to_key(cmp))
 
 
-def _validate(sid: int, intervals, line_no: int | None) -> None:
-    """Reject an end before its start, a negative time or a duplicate interval."""
-    seen = set()
-    for i in intervals:
-        start, end, event = i
-        if end < start:
-            problem = "end < start in"
-        elif start < 0:
-            problem = "negative time in"
-        elif i in seen:
-            problem = "duplicate interval"
-        else:
-            seen.add(i)
-            continue
-        where = f" (line {line_no})" if line_no is not None else ""
-        raise DatabaseError(
-            f"sequence {sid}{where}: {problem} ({event},{start},{end})")
-
-
 def make_sequence(
     sid: int, intervals, epsilon: int = 0, line_no: int | None = None
 ) -> TimeIntervalSequence:
     """Sort and validate raw ``(start, end, event)`` intervals, any iterable
     of them, into a sequence of plain tuples. An error names ``line_no`` if
-    given and, of several invalid intervals, the first in sorted order."""
-    intervals = sort_intervals(map(tuple, intervals), epsilon)
-    _validate(sid, intervals, line_no)
-    return TimeIntervalSequence(sid, tuple(intervals))
+    given and the first invalid interval in exact (start, end, event) order."""
+    exact = sorted(map(tuple, intervals))
+    # Taken first, so a negative epsilon is refused before any interval.
+    ordered = sort_intervals(exact, epsilon) if epsilon else exact
+    previous = None  # copies are adjacent here, not always in the epsilon-order
+    for interval in exact:
+        start, end, event = interval
+        if end < start:
+            problem = "end < start in"
+        elif start < 0:
+            problem = "negative time in"
+        elif interval == previous:
+            problem = "duplicate interval"
+        else:
+            previous = interval
+            continue
+        where = f" (line {line_no})" if line_no is not None else ""
+        raise DatabaseError(
+            f"sequence {sid}{where}: {problem} ({event},{start},{end})")
+    return TimeIntervalSequence(sid, tuple(ordered))
 
 
 # The parse splits a text in blocks of about this many characters, each

@@ -224,15 +224,27 @@ def test_gen_into_a_closed_stdout_exits_2_without_a_traceback():
     assert err == "tirpmine gen: [Errno 32] Broken pipe\n"
 
 
-@pytest.mark.parametrize("db_text, extra", [(EXAMPLE_TEXT + "6|A,5,2\n", []),
-                                            (EXAMPLE_TEXT, ["--min-sup", "2"])],
-                         ids=["malformed-line", "min-sup-2"])
+@pytest.mark.parametrize("db_text, extra", [
+    (EXAMPLE_TEXT + "6|A,5,2\n", []),
+    (EXAMPLE_TEXT, ["--min-sup", "2"]),
+    (EXAMPLE_TEXT, ["--stats", os.path.join(os.devnull, "stats.txt")]),
+], ids=["malformed-line", "min-sup-2", "stats-path-not-writable"])
 def test_refused_run_leaves_the_output_file_as_it_was(tmp_path, db_text, extra):
     db, out = tmp_path / "in.db", tmp_path / "out.tsv"
     db.write_text(db_text)
     out.write_bytes(b"kept\n")
     assert main(["mine", "--input", str(db), *MINE_FLAGS, "--output", str(out), *extra]) == 2
     assert out.read_bytes() == b"kept\n"
+
+
+def test_stats_written_over_the_output_file_hold_the_stats(example_file, tmp_path):
+    _, _, stats = run_mine(example_file, tmp_path)
+    same = tmp_path / "same.txt"
+    assert main(["mine", "--input", str(example_file), *MINE_FLAGS, "--output", str(same),
+                 "--stats", str(same)]) == 0
+    lines = same.read_text().splitlines()
+    assert lines[:-1] == stats.read_text().splitlines()[:-1]
+    assert lines[-1].startswith("elapsed_ms=")
 
 
 @pytest.mark.parametrize(
@@ -251,11 +263,13 @@ def test_input_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys, before):
     assert out.read_bytes() == b"kept\n"
 
 
-def test_crlf_input_mines_as_lf(example_file, tmp_path):
-    crlf = tmp_path / "crlf.db"
-    crlf.write_bytes(example_file.read_bytes().replace(b"\n", b"\r\n"))
+@pytest.mark.parametrize("copy", [lambda data: data.replace(b"\n", b"\r\n"),
+                                  lambda data: b"\xef\xbb\xbf" + data], ids=["crlf", "bom"])
+def test_crlf_or_bom_input_mines_as_plain(example_file, tmp_path, copy):
+    other = tmp_path / "other.db"
+    other.write_bytes(copy(example_file.read_bytes()))
     outputs = []
-    for path in (example_file, crlf):
+    for path in (example_file, other):
         out = tmp_path / f"{path.stem}.tsv"
         assert main(["mine", "--input", str(path), *MINE_FLAGS, "--output", str(out)]) == 0
         outputs.append(out.read_bytes())

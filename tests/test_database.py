@@ -191,6 +191,82 @@ def test_make_sequence_rejects_what_parse_rejects():
             make_sequence(1, [SymbolicInterval(int(s), int(e), ev) for ev, s, e in tokens])
 
 
+def test_a_duplicate_the_epsilon_order_keeps_apart_is_refused():
+    body = "C,6,8 B,7,7 C,1,3 B,3,8 C,3,3 C,5,5 A,1,7 B,11,14 B,10,13 B,7,9 C,10,10 B,7,7"
+    raw = [(int(s), int(e), ev) for ev, s, e in (tok.split(",") for tok in body.split())]
+    ordered = sort_intervals(raw, 2)
+    assert [i for i, iv in enumerate(ordered) if iv == (7, 7, "B")] == [3, 6]
+    line = f"1|{body}\n"
+    for epsilon in (0, 2):
+        with pytest.raises(DatabaseError,
+                           match=r"^sequence 1 \(line 1\): duplicate interval \(B,7,7\)$"):
+            parse_database(line, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [0, 1])
+def test_of_several_invalid_intervals_the_first_in_exact_order_is_named(epsilon):
+    """Which interval an error names does not depend on epsilon."""
+    with pytest.raises(DatabaseError,
+                       match=r"^sequence 1 \(line 1\): negative time in \(A,-1,5\)$"):
+        parse_database("1|A,-1,5 B,0,-1\n", epsilon)
+
+
+def _set_check(sid, intervals):
+    """The check as a set of the intervals seen, walked in the order given:
+    the reference the one pass over the exact order is held to."""
+    seen = set()
+    for i in intervals:
+        start, end, event = i
+        if end < start:
+            problem = "end < start in"
+        elif start < 0:
+            problem = "negative time in"
+        elif i in seen:
+            problem = "duplicate interval"
+        else:
+            seen.add(i)
+            continue
+        return f"sequence {sid} (line 1): {problem} ({event},{start},{end})"
+    return None
+
+
+def test_the_exact_order_check_agrees_with_a_set_over_the_epsilon_order():
+    """At epsilon 0 both name the same interval. At epsilon > 0 both refuse
+    the same lines, and name the same interval when only one is invalid;
+    of several, the pass names the first in exact order. An accepted line
+    keeps the epsilon-order. Some lines hold a duplicate that the
+    epsilon-order keeps apart."""
+    rng = random.Random(25)
+    accepted = kept_apart = 0
+    for _ in range(3000):
+        epsilon = rng.randrange(4)
+        raw = list({(s, s + rng.randint(-1 if rng.random() < 0.03 else 0, 4),
+                     rng.choice("ABC"))
+                    for s in (rng.randrange(-1 if rng.random() < 0.1 else 0, 12)
+                              for _ in range(rng.randint(1, 14)))})
+        if rng.random() < 0.5:
+            raw.append(rng.choice(raw))
+        rng.shuffle(raw)
+        line = "1|" + " ".join(f"{ev},{s},{e}" for s, e, ev in raw) + "\n"
+        ordered = sort_intervals(raw, epsilon)
+        expected = _set_check(1, ordered)
+        try:
+            got = parse_database(line, epsilon).sequences[0].intervals
+        except DatabaseError as exc:
+            got = str(exc)
+        invalid = sum(e < s or s < 0 for s, e, _ in raw) + len(raw) - len(set(raw))
+        if expected is None:
+            assert got == tuple(ordered), line
+            accepted += 1
+        elif epsilon == 0 or invalid <= 1:
+            assert got == expected, line
+        else:
+            assert isinstance(got, str), line
+        kept_apart += len(set(raw)) < len(raw) and all(
+            a != b for a, b in zip(ordered, ordered[1:]))
+    assert accepted > 1000 and kept_apart > 0
+
+
 def test_make_sequence_reads_any_iterable_once():
     """A generator or a one-shot iterator is sorted and validated, not
     consumed by the check and then found empty."""
