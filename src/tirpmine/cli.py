@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -165,11 +166,18 @@ def _cmd_mine(args) -> int:
     db = _load_db(args)
     results, stats = _mine_stream(db, qes, cfg)
     # Every check is made by now, and the stats path opens to append, which
-    # writes nothing, so a refused run leaves --output as it was.
+    # writes nothing, so a refused run leaves --output as it was; a stats
+    # file this run made is removed if the results are not written.
+    made = bool(args.stats) and not os.path.lexists(args.stats)
     if args.stats:
         open(args.stats, "a", encoding="utf-8").close()
-    with _open(args.output) as fh:
-        fh.writelines(map(_result_line, results))
+    try:
+        with _open(args.output) as fh:
+            fh.writelines(map(_result_line, results))
+    except BaseException:
+        if made:
+            os.remove(args.stats)
+        raise
     if args.stats:
         _write(args.stats, _format_stats(stats))
     return 0

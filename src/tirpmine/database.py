@@ -161,11 +161,15 @@ def sort_intervals(intervals, epsilon: int = 0) -> list:
     from the exact order makes the result a function of the interval set.
     A negative epsilon raises ``ValueError``.
     """
+    return _epsilon_order(sorted(intervals), epsilon)
+
+
+def _epsilon_order(exact: list, epsilon: int) -> list:
+    """``sort_intervals`` of ``exact``, a list already in exact order."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    intervals = sorted(intervals)
     if epsilon == 0:
-        return intervals
+        return exact
 
     def cmp(a, b):
         if interval_precedes(a, b, epsilon):
@@ -174,7 +178,7 @@ def sort_intervals(intervals, epsilon: int = 0) -> list:
             return 1
         return 0
 
-    return sorted(intervals, key=functools.cmp_to_key(cmp))
+    return sorted(exact, key=functools.cmp_to_key(cmp))
 
 
 def make_sequence(
@@ -185,7 +189,7 @@ def make_sequence(
     given and the first invalid interval in exact (start, end, event) order."""
     exact = sorted(map(tuple, intervals))
     # Taken first, so a negative epsilon is refused before any interval.
-    ordered = sort_intervals(exact, epsilon) if epsilon else exact
+    ordered = _epsilon_order(exact, epsilon) if epsilon else exact
     previous = None  # copies are adjacent here, not always in the epsilon-order
     for interval in exact:
         start, end, event = interval

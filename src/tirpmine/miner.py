@@ -13,8 +13,9 @@ search space:
 * query row pruning (UQRP): drop each row whose own sequence no longer
   holds the unmatched rest of the query after it, or, under a gap bound,
   from which no chain of gap-bounded steps reaches that rest, and with it
-  a branch left with too few sequences; the singleton pass builds only
-  the live rows of the seeds, and a seed left with too few is not grown.
+  a branch left with too few sequences; the singleton pass reads each
+  sequence only up to the query's latest start and builds only the live
+  rows of the seeds, and a seed left with too few is not grown.
 
 The default is USFP plus UQRP. UQPP and UEPP read a pair support matrix,
 built only when one of them is on; since UQRP drops the same work row by
@@ -93,9 +94,8 @@ class STirpResult:
 class MiningStats:
     """Counters of one run. ``pruned_uqrp`` counts the work query row
     pruning saves: prefix rows whose window a join cuts short, hits it
-    drops, by the query table or the gap table, and intervals the seed
-    screen leaves unbuilt, found dead or met after the event's screen
-    stopped."""
+    drops by the query table or the gap table, and seed rows the gap table
+    drops. Rows past the query's latest start are never read or counted."""
 
     sequences_filtered: int = 0
     join_operations: int = 0

@@ -23,10 +23,10 @@ its sequence no longer holds the unmatched rest of the query (query row
 pruning), and, under a gap bound, every hit from whose envelope no chain
 of gap-bounded steps reaches that rest (``least_ends``), the max-gap
 reachability of constrained sequential miners such as cSPADE. The
-singleton pass applies the same two tests to the seeds it builds, and a
-seed with too few live sequences is never joined: each row is tested
-once, where it is born. The scan applies the extension rule inline, with
-its own comparisons.
+singleton pass applies the same two tests to the seeds, read only up to
+the query's latest start, and a seed with too few live sequences is never
+joined: each row is tested once, where it is born. The scan applies the
+extension rule inline, with its own comparisons.
 ``extend_vdb`` joins a prefix with one candidate's singleton rows by a
 plain scan of every later row, through ``model._check_extension``;
 together they are the independent reference the scan is tested against.
@@ -125,79 +125,67 @@ def build_singleton_vdbs(db: Database, c: Constraints, threshold: float = 0,
 
     Given a ``scan`` with a query, the same pass screens the seeds: a
     seed's rows have matched ``k`` query events, 1 when its event is the
-    query's first and 0 otherwise, and while ``k`` is short of the query a
-    row at ``pos`` is built only when it is live, that is when
-    ``pos < scan[sid][k]`` and, under a gap bound, ``end >=
+    query's first and 0 otherwise, and every event is screened but a
+    one-event query's own, which a seed completes. A row at ``pos`` is
+    live when ``pos < scan[sid][k]`` and, under a gap bound, ``end >=
     scan.gap_table(sid)[k][pos]``, the tests ``extend_prefix`` applies to a
-    prefix row. Such an event keeps its key whenever it is frequent, as a
-    candidate for the joins, but its database holds its live rows only when
-    at least ``threshold`` sequences have one, and is empty otherwise. Its
-    screen stops, and no table is read for it any more, once its dead
-    sequences (those it holds in the duration bounds with no live row)
-    outnumber its ``event_support`` less the threshold. ``scan.pruned``
-    grows by the screened intervals in the duration bounds that are not
-    built, dead or past the stop."""
-    wanted = {e for e, support in db.event_support.items() if support >= threshold}
+    hit. Every live row lies at or before the query's latest start
+    ``scan[sid][0]``: another event needs ``pos < scan[sid][0]``, and a
+    ``qes[0]`` past it but before ``scan[sid][1]`` would itself be a later
+    start. So the screen reads each sequence only up to that position, a
+    sequence without the query costs one table, and the screen stops once
+    no screened event can reach ``threshold`` live sequences. Every screened
+    event that ``event_support`` puts in ``threshold`` sequences keys a
+    database, as a join candidate, empty when it has too few live ones.
+    ``scan.pruned`` grows by the screened rows the gap test drops."""
+    wanted = frequent = {e for e, count in db.event_support.items() if count >= threshold}
     min_dura = c.min_dura
     max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
-    groups: dict[str, dict[int, list[tuple]]] = {}
     qes = scan.qes if scan is not None else ()
-    # The screened events, each with the query events its seed has matched,
-    # or None once its screen has stopped.
-    matched = {e: int(e == qes[0]) for e in wanted} if qes else {}
-    if len(qes) == 1:
-        matched.pop(qes[0], None)
-    support = db.event_support
-    seen = dict.fromkeys(matched, 0)  # sequences with an interval in the bounds
-    last = dict.fromkeys(matched)  # the sid ``seen`` last counted
-    gapped = bool(matched) and scan.gapped
-    pruned = 0
+    first = qes[0] if qes else None
+    done = first if len(qes) == 1 else None  # a seed of it has no query left
+    screened = screening = bool(qes and frequent - {done})
+    gapped = screened and scan.gapped
+    groups: dict[str, dict[int, list[tuple]]] = {}
+    # The sequences left to read, the most live ones of a screened event,
+    # and the rows the gap test drops.
+    left, most, pruned = len(db.sequences), 0, 0
     for seq in db.sequences:
+        if screening and most + left < threshold:
+            # No screened event can reach the threshold: only a one-event
+            # query's own event is read on, and it is not screened.
+            if done not in wanted:
+                break
+            wanted, screening, gapped = {done}, False, False
+        left -= 1
         sid = seq.sid
-        table = ends = None
-        for pos, (start, end, event) in enumerate(seq.intervals, start=1):
+        ends = None
+        for pos, (start, end, event) in enumerate(
+                seq.intervals[:scan[sid][0]] if screening else seq.intervals, start=1):
             if event in wanted and min_dura <= end - start <= max_dura:
-                if event in matched:
-                    k = matched[event]
-                    if last[event] != sid:
-                        # Every sequence counted so far is done: a dead one
-                        # has no rows in groups.
-                        if k is not None and (seen[event] - len(groups.get(event, ()))
-                                              > support[event] - threshold):
-                            matched[event] = k = None
-                            groups.pop(event, None)
-                        last[event] = sid
-                        seen[event] += 1
-                    if k is None:
+                if gapped and event != done:
+                    if ends is None:
+                        ends = scan.gap_table(sid)
+                    if end < ends[event == first][pos]:
                         pruned += 1
                         continue
-                    if table is None:
-                        table = scan[sid]
-                    if pos >= table[k]:
-                        pruned += 1
-                        continue
-                    if gapped:
-                        if ends is None:
-                            ends = scan.gap_table(sid)
-                        if end < ends[k][pos]:
-                            pruned += 1
-                            continue
                 row = (sid, pos, start, end, None, None)
                 by_sid = groups.get(event)
                 if by_sid is None:
-                    groups[event] = {sid: [row]}
+                    groups[event] = by_sid = {sid: [row]}
                 elif (rows := by_sid.get(sid)) is None:
                     by_sid[sid] = [row]
                 else:
                     rows.append(row)
+                    continue
+                if len(by_sid) > most and event != done:
+                    most = len(by_sid)
     if pruned:
         scan.pruned += pruned
     vdbs = {event: VerticalDatabase((event,), by_sid) for event, by_sid in groups.items()
             if len(by_sid) >= threshold}
-    # A frequent screened event with too few live sequences is a candidate
-    # only; as unscreened, an event with no interval in the bounds is none.
-    for event in matched:
-        if seen[event] >= max(threshold, 1) and event not in vdbs:
+    if screened:  # a frequent screened event with too few is a candidate only
+        for event in frequent.difference(vdbs, [done]):
             vdbs[event] = VerticalDatabase((event,), {})
     return vdbs
 
@@ -346,15 +334,15 @@ class Scan(dict):
     ``qes`` of query row pruning, or (), and ``pruned``, the work it saves.
 
     Each sid of ``db`` maps to its sequence's ``latest_starts`` table for
-    ``qes``, built on the first join or seed screen with query left that
-    reaches the sequence and kept for the search: a row that has matched
-    ``qes[:m]`` can reach the query only if ``eid < table[m]``.
+    ``qes``, built by the seed screen or the first join with query left
+    that reaches the sequence, and kept for the search: a row that has
+    matched ``qes[:m]`` can reach the query only if ``eid < table[m]``.
 
     ``gapped`` is set when there is a query and ``max_gap`` bounds the
     steps. Then ``gap_table(sid)`` gives the sequence's ``least_ends``
-    tables, built once, on the first read: by the seed screen, for a row
-    that passes the test above, or by a join with query left that reaches
-    the sequence. A row that passes it can reach the query only if also
+    tables, built once, on the first read: by the seed screen, for a
+    screened row it reads, all of which pass the test above, or by a join
+    with query left that reaches the sequence. A row that passes it can reach the query only if also
     ``end_t >= gap_table(sid)[m][eid]``."""
 
     def __init__(self, db: Database, c: Constraints, threshold: int,
@@ -518,9 +506,9 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
                     rows.append(hit)
         left -= 1
         if least + left < threshold:
-            # need > 0 here, so an event without hits goes too.
-            need = threshold - left
-            hits = {e: by_sid for e, by_sid in hits.items() if len(by_sid) >= need}
+            # short > 0 here, so an event without hits goes too.
+            short = threshold - left
+            hits = {e: by_sid for e, by_sid in hits.items() if len(by_sid) >= short}
             if not hits:
                 break
             wanted = set(hits)

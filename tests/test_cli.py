@@ -237,6 +237,20 @@ def test_refused_run_leaves_the_output_file_as_it_was(tmp_path, db_text, extra):
     assert out.read_bytes() == b"kept\n"
 
 
+@pytest.mark.parametrize("before", [None, b"kept\n"], ids=["new", "existing"])
+def test_output_that_cannot_be_opened_leaves_the_stats_path_as_it_was(tmp_path, before):
+    """A run refused because ``--output`` cannot be opened removes the empty
+    ``--stats`` file it made first, and leaves one that was there before."""
+    stats = tmp_path / "stats.txt"
+    if before is not None:
+        stats.write_bytes(before)
+    db = tmp_path / "in.db"
+    db.write_text(EXAMPLE_TEXT)
+    assert main(["mine", "--input", str(db), *MINE_FLAGS, "--stats", str(stats),
+                 "--output", os.path.join(os.devnull, "out.tsv")]) == 2
+    assert (stats.read_bytes() if stats.exists() else None) == before
+
+
 def test_stats_written_over_the_output_file_hold_the_stats(example_file, tmp_path):
     _, _, stats = run_mine(example_file, tmp_path)
     same = tmp_path / "same.txt"

@@ -585,14 +585,26 @@ def test_a_join_keeps_no_hit_where_the_rest_of_the_query_is_absent():
         assert scan[1] == (0, 0, 4)
 
 
+def _screened_keys(db, c, t, query) -> set:
+    """The keys of the seed screen's singleton databases. With any event
+    screened, they are every event ``event_support`` puts in at least ``t``
+    sequences, though the duration bounds leave it too few seeds; a
+    one-event query's own event, not screened, keys only when at least
+    ``t`` sequences have a seed, as every event does with no screen."""
+    seeded = {e for e, v in build_singleton_vdbs(db, c).items() if v.vertical_support() >= t}
+    own = {query[0]} if len(query) == 1 else set()
+    frequent = {e for e, count in db.event_support.items() if count >= t} - own
+    return frequent | seeded & own if query and frequent else seeded
+
+
 def test_the_seed_screen_builds_the_live_rows():
     """With a query's ``Scan``, ``build_singleton_vdbs`` keeps every
     frequent event, and an event with query left after its seed holds the
     rows ``_chain_reaches`` keeps, when at least ``threshold`` sequences
     have one, and none otherwise; the query's event when it is the whole
-    query keeps all its rows. At threshold 1 no screen stops, and
-    ``scan.pruned`` is the number of rows left out. At epsilon 0 to 2,
-    queries of one to three events."""
+    query keeps all its rows. At threshold 1, ``scan.pruned`` is the number
+    of rows left out at or before the query's latest start, past which the
+    pass reads nothing. At epsilon 0 to 2, queries of one to three events."""
     emptied = kept = 0
     for seed in range(60):
         db, c, min_sup, qes = random_trial(seed, epsilon=seed % 3)
@@ -609,17 +621,19 @@ def test_the_seed_screen_builds_the_live_rows():
                             db.sequence_by_sid[sid].intervals, r[1], r[3], rest, reach)]
                         for sid, rows in v.by_sid.items()}
                 live[e] = {sid: rows for sid, rows in rows.items() if rows}
-            dead = sum(len(v.rows) for v in full.values()) - sum(
-                len(rows) for v in live.values() for rows in v.values())
+            dead = sum(r[1] <= latest_starts(db.sequence_by_sid[sid].intervals, query)[0]
+                       and r not in live[e].get(sid, ())
+                       for e, v in full.items() for sid, rows in v.by_sid.items() for r in rows)
             supports = {len(v) for v in live.values()}
             for t in sorted({1, min_sup * len(db)} | supports | {v + 1 for v in supports}):
                 if t < 1:
                     continue
                 scan = Scan(db, c, t, query)
                 screened = build_singleton_vdbs(db, c, t, scan)
-                assert screened.keys() == build_singleton_vdbs(db, c, t).keys()
+                assert screened.keys() == _screened_keys(db, c, t, query)
                 for e, v in screened.items():
-                    want = live[e] if len(live[e]) >= t else {}
+                    want = live.get(e, {})
+                    want = want if len(want) >= t else {}
                     assert v.events == (e,) and v.by_sid == want
                     emptied += not want
                     kept += bool(want) and want != full[e].by_sid
@@ -634,40 +648,101 @@ def test_the_seed_screen_builds_the_live_rows():
     assert emptied > 0 and kept > 0
 
 
-def test_a_seed_screen_stops_once_its_dead_sequences_pass_the_spare(monkeypatch):
-    """An event whose live sequences cannot reach the threshold stops
-    being screened after support - threshold + 1 dead sequences: only so
-    many ``latest_starts`` tables and gap tables are built for it. It stays
-    a frequent candidate with no rows; the query's own event, the whole
-    query, keeps all its rows unscreened."""
+class _Unread(tuple):
+    """An interval that fails the test when it is unpacked, as the singleton
+    pass unpacks each interval it reads. Indexing it, as ``latest_starts``
+    does, reads the tuple as usual."""
+
+    def __iter__(self):
+        raise AssertionError(f"read {tuple.__repr__(self)}")
+
+
+def test_the_seed_screen_reads_no_interval_past_the_querys_latest_start():
+    """While a screen runs, the pass reads each sequence only up to
+    ``scan[sid][0]``, the latest start of the query; a sequence without the
+    query is not read at all. Every interval past that position is an
+    ``_Unread``, and the seeds are those of the same text parsed plainly.
+    Under a gap bound, ``least_ends`` reads the intervals up to the latest
+    start of each rest of the query, so there the query is one event."""
+    text = ("1|A,0,1 C,2,3 A,4,5 B,6,7 C,8,9 B,10,11\n"
+            "2|C,0,1 B,2,3 C,4,5\n"
+            "3|B,0,1 A,2,3 B,4,5 A,6,7\n")
+    plain = parse_database(text)
+    for qes, c in ((("A", "B"), Constraints()), (("A",), Constraints(max_gap=1))):
+        cut = Database(tuple(
+            TimeIntervalSequence(seq.sid, tuple(
+                iv if pos <= latest_starts(seq.intervals, qes)[0] else _Unread(iv)
+                for pos, iv in enumerate(seq.intervals, start=1)))
+            for seq in plain.sequences))
+        vars(cut)["event_support"] = plain.event_support  # read without unpacking
+        for threshold in (1, 2):
+            got = build_singleton_vdbs(cut, c, threshold, Scan(cut, c, threshold, qes))
+            want = build_singleton_vdbs(plain, c, threshold, Scan(plain, c, threshold, qes))
+            assert got == want
+    assert got["A"].by_sid == {1: [(1, 1, 0, 1, None, None), (1, 3, 4, 5, None, None)],
+                               3: [(3, 2, 2, 3, None, None), (3, 4, 6, 7, None, None)]}
+    # At threshold 2, C and B have live seeds in one sequence each.
+    assert got["C"].by_sid == got["B"].by_sid == {}
+
+
+def test_the_seed_screen_builds_no_query_table_when_no_event_is_screened(monkeypatch):
+    """With no query, or a one-event query whose event is the only frequent
+    one, nothing is screened: no ``latest_starts`` table is built, and the
+    rows are those of the pass without a scan. With any event screened,
+    every sequence gets one table, those without the query too, until no
+    screened event can reach the threshold: at threshold 3 the query B, A
+    leaves A no live row in the first two sequences, and the pass stops."""
     calls = Counter()
-    starts, ends = latest_starts, least_ends
 
     def counted_starts(intervals, qes):
         calls["starts"] += 1
-        return starts(intervals, qes)
-
-    def counted_ends(*args):
-        calls["ends"] += 1
-        return ends(*args)
+        return latest_starts(intervals, qes)
 
     monkeypatch.setattr("tirpmine.vertical.latest_starts", counted_starts)
-    monkeypatch.setattr("tirpmine.vertical.least_ends", counted_ends)
-    # A before B across a gap of 20, then B before A: all A rows are dead,
-    # by the gap bound or by latest_starts.
-    lines = [f"{sid}|A,0,1 B,21,22" if sid % 2 else f"{sid}|B,0,1 A,2,3"
-             for sid in range(1, 13)]
-    db = parse_database("\n".join(lines) + "\n")
+    db = parse_database("1|A,0,1 B,2,3\n2|A,0,1 C,2,3\n3|A,4,5 D,6,7\n4|E,0,1\n")
     c = Constraints(max_gap=5)
-    for threshold in (3, 7, 12):
+    for qes, threshold, tables in (((), 1, 0), (("A",), 3, 0), (("A",), 1, 4),
+                                   (("B", "A"), 1, 4), (("B", "A"), 3, 2)):
         calls.clear()
-        scan = Scan(db, c, threshold, ("B",))
+        scan = Scan(db, c, threshold, qes)
         vdbs = build_singleton_vdbs(db, c, threshold, scan)
-        assert vdbs["A"].by_sid == {}
-        assert vdbs["B"].vertical_support() == 12
-        assert calls["starts"] == 12 - threshold + 1 == len(scan)
-        assert calls["ends"] == len(scan.gap_tables) <= calls["starts"]
-        assert scan.pruned == 12
+        assert calls["starts"] == len(scan) == tables
+        if not tables:
+            assert vdbs == build_singleton_vdbs(db, c, threshold)
+    # After the stop a one-event query's own event is read on, unscreened.
+    db = parse_database("".join(f"{sid}|A,0,1 B,2,3\n" for sid in range(1, 5)))
+    calls.clear()
+    scan = Scan(db, c, 3, ("A",))
+    vdbs = build_singleton_vdbs(db, c, 3, scan)
+    assert calls["starts"] == len(scan) == 2
+    assert vdbs["A"].vertical_support() == 4 and vdbs["B"].by_sid == {}
+
+
+def test_a_screened_query_keys_every_event_frequent_by_event_support():
+    """The seed screen keys ``_screened_keys``, the events frequent by
+    ``event_support``, when both duration bounds bind too. At epsilon 0 to
+    2, queries of one to three events."""
+    screens = 0
+    for seed in range(40):
+        db, c, min_sup, qes = random_trial(seed, epsilon=seed % 3)
+        c = replace(c, min_dura=3, max_dura=6)
+        rng = random.Random(seed)
+        queries = [qes] + [tuple(rng.choice(db.alphabet) for _ in range(rng.randint(1, 3)))
+                           for _ in range(2)]
+        for t in (1, 2, min_sup * len(db)):
+            for query in queries:
+                got = build_singleton_vdbs(db, c, t, Scan(db, c, t, query))
+                want = _screened_keys(db, c, t, query)
+                assert got.keys() == want
+                screens += want != _screened_keys(db, c, t, ())
+    # Some screen kept an event with too few seeds.
+    assert screens > 0
+    # E is frequent, but min_dura leaves it no seed: with a screen it keys
+    # an empty database, a candidate only; without one it keys nothing.
+    db = parse_database("1|A,0,1 E,2,2 B,3,4\n2|E,0,0 A,1,2 B,3,4\n")
+    c = Constraints(min_dura=1)
+    assert build_singleton_vdbs(db, c, 2, Scan(db, c, 2, ("A", "B")))["E"].by_sid == {}
+    assert "E" not in build_singleton_vdbs(db, c, 2)
 
 
 def test_extend_prefix_reads_any_database_that_holds_the_prefix():
