@@ -93,9 +93,9 @@ class STirpResult:
 @dataclass
 class MiningStats:
     """Counters of one run. ``pruned_uqrp`` counts the work query row
-    pruning saves: prefix rows whose window a join cuts short, hits it
-    drops by the query table or the gap table, and seed rows the gap table
-    drops. Rows past the query's latest start are never read or counted."""
+    pruning saves: prefix rows whose window a join cuts short, and the hits
+    and seed rows its reach table drops. Rows past the query's latest start
+    are never read or counted."""
 
     sequences_filtered: int = 0
     join_operations: int = 0

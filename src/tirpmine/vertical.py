@@ -18,15 +18,16 @@ scans each prefix row's own sequence over the intervals the row can reach,
 those after it whose start lies within the gap and duration bounds of its
 envelope, and returns rows only for the candidates that reach the support
 threshold, read with the bounds and each sequence from the query's one
-``Scan``. Given a query there, the scan also drops every hit after which
-its sequence no longer holds the unmatched rest of the query (query row
-pruning), and, under a gap bound, every hit from whose envelope no chain
-of gap-bounded steps reaches that rest (``least_ends``), the max-gap
-reachability of constrained sequential miners such as cSPADE. The
-singleton pass applies the same two tests to the seeds, read only up to
-the query's latest start, and a seed with too few live sequences is never
-joined: each row is tested once, where it is born. The scan applies the
-extension rule inline, with its own comparisons.
+``Scan``. Given a query there, the scan also drops every hit from whose
+envelope no chain of gap-bounded steps through its sequence reaches the
+unmatched rest of the query (query row pruning), the max-gap reachability
+of constrained sequential miners such as cSPADE; with no gap bound, every
+hit after which the sequence no longer holds that rest. It reads one
+``reach_table`` per sequence. The singleton pass applies the same test to
+the seeds, read only up to the query's latest start, and a seed with too
+few live sequences is never joined: each row is tested once, where it is
+born. The scan applies the extension rule inline, with its own
+comparisons.
 ``extend_vdb`` joins a prefix with one candidate's singleton rows by a
 plain scan of every later row, through ``model._check_extension``;
 together they are the independent reference the scan is tested against.
@@ -126,18 +127,18 @@ def build_singleton_vdbs(db: Database, c: Constraints, threshold: float = 0,
     Given a ``scan`` with a query, the same pass screens the seeds: a
     seed's rows have matched ``k`` query events, 1 when its event is the
     query's first and 0 otherwise, and every event is screened but a
-    one-event query's own, which a seed completes. A row at ``pos`` is
-    live when ``pos < scan[sid][k]`` and, under a gap bound, ``end >=
-    scan.gap_table(sid)[k][pos]``, the tests ``extend_prefix`` applies to a
-    hit. Every live row lies at or before the query's latest start
-    ``scan[sid][0]``: another event needs ``pos < scan[sid][0]``, and a
-    ``qes[0]`` past it but before ``scan[sid][1]`` would itself be a later
+    one-event query's own, which a seed completes. With ``starts, columns =
+    scan[sid]``, a row at ``pos`` is live when ``end >= columns[k][pos]``,
+    the test ``extend_prefix`` applies to a hit, which fails from ``pos >=
+    starts[k]`` on. Every live row lies at or before the query's latest
+    start ``starts[0]``: another event needs ``pos < starts[0]``, and a
+    ``qes[0]`` past it but before ``starts[1]`` would itself be a later
     start. So the screen reads each sequence only up to that position, a
     sequence without the query costs one table, and the screen stops once
     no screened event can reach ``threshold`` live sequences. Every screened
     event that ``event_support`` puts in ``threshold`` sequences keys a
     database, as a join candidate, empty when it has too few live ones.
-    ``scan.pruned`` grows by the screened rows the gap test drops."""
+    ``scan.pruned`` grows by the screened rows the test drops."""
     wanted = frequent = {e for e, count in db.event_support.items() if count >= threshold}
     min_dura = c.min_dura
     max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
@@ -145,10 +146,9 @@ def build_singleton_vdbs(db: Database, c: Constraints, threshold: float = 0,
     first = qes[0] if qes else None
     done = first if len(qes) == 1 else None  # a seed of it has no query left
     screened = screening = bool(qes and frequent - {done})
-    gapped = screened and scan.gapped
     groups: dict[str, dict[int, list[tuple]]] = {}
     # The sequences left to read, the most live ones of a screened event,
-    # and the rows the gap test drops.
+    # and the rows the reach test drops.
     left, most, pruned = len(db.sequences), 0, 0
     for seq in db.sequences:
         if screening and most + left < threshold:
@@ -156,19 +156,18 @@ def build_singleton_vdbs(db: Database, c: Constraints, threshold: float = 0,
             # query's own event is read on, and it is not screened.
             if done not in wanted:
                 break
-            wanted, screening, gapped = {done}, False, False
+            wanted, screening = {done}, False
         left -= 1
         sid = seq.sid
-        ends = None
-        for pos, (start, end, event) in enumerate(
-                seq.intervals[:scan[sid][0]] if screening else seq.intervals, start=1):
+        intervals = seq.intervals
+        if screening:
+            starts, columns = scan[sid]
+            intervals = intervals[:starts[0]]
+        for pos, (start, end, event) in enumerate(intervals, start=1):
             if event in wanted and min_dura <= end - start <= max_dura:
-                if gapped and event != done:
-                    if ends is None:
-                        ends = scan.gap_table(sid)
-                    if end < ends[event == first][pos]:
-                        pruned += 1
-                        continue
+                if screening and event != done and end < columns[event == first][pos]:
+                    pruned += 1
+                    continue
                 row = (sid, pos, start, end, None, None)
                 by_sid = groups.get(event)
                 if by_sid is None:
@@ -264,52 +263,51 @@ def extend_vdb(
     return VerticalDatabase(prefix.events + (candidate,), by_sid)
 
 
-def latest_starts(intervals, qes) -> tuple[int, ...]:
-    """Entry ``k`` is the greatest position at which an embedding of
-    ``qes[k:]`` in the events of ``intervals``, ``(start, end, event)``
-    triples, can start, or 0 when they hold none. The last entry, for the
-    empty rest, is ``len(intervals) + 1``, a position past every interval.
+def reach_table(intervals, qes, gap_reach) -> tuple[list[int], list[list]]:
+    """The reach of each rest ``qes[k:]`` of the query in ``intervals``,
+    ``(start, end, event)`` triples, as ``(starts, columns)``, with a last
+    entry for the empty rest.
 
-    One right-to-left greedy pass: each query event, last first, is matched
-    at its latest position before the match of the one after it."""
-    table = [0] * len(qes) + [len(intervals) + 1]
-    k = len(qes) - 1
-    for pos in range(len(intervals), 0, -1):
-        if k < 0:
-            break
-        if intervals[pos - 1][2] == qes[k]:
-            table[k] = pos
-            k -= 1
-    return tuple(table)
-
-
-def least_ends(intervals, qes, starts, gap_reach) -> tuple[tuple, ...]:
-    """Entry ``k`` is a table over interval indexes ``i``, 0 to
+    ``columns[k]`` is a table over interval indexes ``i``, 0 to
     ``len(intervals)``: the least envelope end E from which ``qes[k:]`` can
     still be embedded through the intervals at index ``i`` or later, or
     infinity when none can. A step may take a query event or any other
     interval as a stepping stone, at a later index than the step before; it
     must start within ``gap_reach`` of E, and it sets E to ``max(E, end)``.
     A greater E never reaches less, so an envelope reaches the rest exactly
-    when its end is at least the entry. The last entry, for the empty rest,
-    is minus infinity throughout. ``starts`` is ``latest_starts`` of the
-    intervals: entries at index ``starts[k]`` or later are
-    infinite, as no embedding starts there, and are not looped over.
+    when its end is at least the entry. The empty rest's column is minus
+    infinity throughout; with ``gap_reach`` infinite, every entry is minus
+    infinity or infinity.
 
-    One backward pass per ``k``: from index ``i``, the rest is reached
+    ``starts[k]``, the column's bound, is the greatest position at which an
+    embedding of ``qes[k:]`` can start, or 0 when there is none, and
+    ``len(intervals) + 1`` for the empty rest. The column is finite exactly
+    below index ``starts[k]``, since from a great enough E every step is in
+    reach.
+
+    One backward pass per ``k``, last first, from below the later rest's
+    bound: it scans down to the first match of ``qes[k]``, the bound, and
+    fills the column from there down. From index ``i``, the rest is reached
     either from ``i + 1`` on, or by a first step on interval ``i``. A stone
     there helps only when its end reaches what index ``i + 1`` needs, and
     then needs E to reach its start; a match of ``qes[k]`` needs that too,
     and E or its end must reach what ``qes[k + 1:]`` needs from ``i + 1``.
     """
     size = len(intervals) + 1
-    table = (-_UNBOUNDED,) * size
-    tables = [table]
+    bound, column = size, [-_UNBOUNDED] * size
+    starts, columns = [bound], [column]
     for k in range(len(qes) - 1, -1, -1):
-        q, later = qes[k], table
-        least = _UNBOUNDED
+        q, later = qes[k], column
         column = [_UNBOUNDED] * size
-        for i in range(starts[k] - 1, -1, -1):
+        least = _UNBOUNDED
+        # Position p is index p - 1, so the match lies below index bound - 1.
+        for i in range(bound - 2, -1, -1):
+            if intervals[i][2] == q:
+                break
+        else:
+            i = -1  # no match, or a later bound of 0 or 1: no index below it
+        bound = i + 1
+        for i in range(i, -1, -1):
             start, end, event = intervals[i]
             reach = start - gap_reach
             if event == q:
@@ -321,9 +319,11 @@ def least_ends(intervals, qes, starts, gap_reach) -> tuple[tuple, ...]:
             elif end >= least and reach < least:
                 least = reach
             column[i] = least
-        table = tuple(column)
-        tables.append(table)
-    return tuple(reversed(tables))
+        starts.append(bound)
+        columns.append(column)
+    starts.reverse()
+    columns.reverse()
+    return starts, columns
 
 
 class Scan(dict):
@@ -333,17 +333,11 @@ class Scan(dict):
     and any other one up to epsilon), the support ``threshold``, the query
     ``qes`` of query row pruning, or (), and ``pruned``, the work it saves.
 
-    Each sid of ``db`` maps to its sequence's ``latest_starts`` table for
-    ``qes``, built by the seed screen or the first join with query left
-    that reaches the sequence, and kept for the search: a row that has
-    matched ``qes[:m]`` can reach the query only if ``eid < table[m]``.
-
-    ``gapped`` is set when there is a query and ``max_gap`` bounds the
-    steps. Then ``gap_table(sid)`` gives the sequence's ``least_ends``
-    tables, built once, on the first read: by the seed screen, for a
-    screened row it reads, all of which pass the test above, or by a join
-    with query left that reaches the sequence. A row that passes it can reach the query only if also
-    ``end_t >= gap_table(sid)[m][eid]``."""
+    Each sid of ``db`` maps to its sequence's ``reach_table`` for ``qes``,
+    ``(starts, columns)``, built by the seed screen or the first join with
+    query left that reaches the sequence, and kept for the search: a row
+    that has matched ``qes[:m]`` can reach the query only if ``end_t >=
+    columns[m][eid]``, which holds at no ``eid`` from ``starts[m]`` on."""
 
     def __init__(self, db: Database, c: Constraints, threshold: int,
                  qes: tuple[str, ...] = ()):
@@ -353,19 +347,10 @@ class Scan(dict):
         self.max_gap = _UNBOUNDED if c.max_gap is None else c.max_gap
         self.max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
         self.gap_reach = max(self.max_gap, self.epsilon)
-        self.gapped = bool(qes) and c.max_gap is not None
-        self.gap_tables: dict[int, tuple[tuple, ...]] = {}
 
-    def __missing__(self, sid: int) -> tuple[int, ...]:
-        table = self[sid] = latest_starts(self.sequences[sid].intervals, self.qes)
+    def __missing__(self, sid: int) -> tuple[list[int], list[list]]:
+        table = self[sid] = reach_table(self.sequences[sid].intervals, self.qes, self.gap_reach)
         return table
-
-    def gap_table(self, sid: int) -> tuple[tuple, ...]:
-        tables = self.gap_tables.get(sid)
-        if tables is None:
-            tables = self.gap_tables[sid] = least_ends(
-                self.sequences[sid].intervals, self.qes, self[sid], self.gap_reach)
-        return tables
 
 
 def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
@@ -402,35 +387,29 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
     whatever the threshold.
 
     Query row pruning: while ``match`` is short of the query, with ``q``
-    the next query event and ``table`` the row's sequence's ``scan[sid]``,
-    a row's window is cut to end before position ``table[match + 1]``, and
-    a hit at ``q_eid`` is kept only if ``q_eid < table[match + 1]`` when
-    its event is ``q``, and ``q_eid < table[match]`` otherwise. The test is
-    exact: a dropped hit's sequence no longer holds the rest of the query
-    after it, so no pattern holding the query descends from it. Under a gap
-    bound (``scan.gapped``), with ``need`` the sequence's
-    ``scan.gap_table(sid)``, read once per sequence beside ``table``, a hit
-    is dropped too when its envelope end ``up`` is below
-    ``need[match + 1][q_eid]`` for ``q`` and ``need[match][q_eid]`` for any
-    other event: no chain of extensions, each starting within ``gap_reach``
-    of the envelope's end, carries such a row to the rest of the query. The
-    table ignores every other bound, so it drops only rows with no result
-    below them. Since support is counted over the kept hits, the early exit
-    above drops a candidate the tests starve. ``scan.pruned`` grows by the
-    windows cut and the hits dropped inside them.
+    the next query event and ``starts, columns`` the row's sequence's
+    ``scan[sid]``, a row's window is cut to end before position
+    ``starts[match + 1]``, and a hit at ``q_eid`` is dropped, before the
+    extension rule, when its envelope end ``up`` is below
+    ``columns[match + 1][q_eid]`` for ``q`` and ``columns[match][q_eid]``
+    for any other event: no chain of extensions, each starting within
+    ``gap_reach`` of the envelope's end, carries such a row to the rest of
+    the query. With no gap bound, that is a hit after which the sequence no
+    longer holds the rest. The table ignores every other bound, so it drops
+    only rows with no result below them. Since support is counted over the
+    kept hits, the early exit above drops a candidate the test starves.
+    ``scan.pruned`` grows by the windows cut and the hits dropped inside
+    them, whether or not they pass the extension rule.
 
     A prefix row is not tested: in the miner it was tested where it was
-    born, as a seed or a hit. The result holds for any prefix all the same.
-    A dead row's hits of other events lie at or past ``table[match]``; no
-    ``q`` lies between it and ``table[match + 1]``, as ``latest_starts`` is
-    maximal; and a hit that passed the gap test would be a chain carrying
-    the row to the query.
+    born, as a seed or a hit. The result holds for any prefix all the same:
+    a dead row's hit that passed the test, inside the row's window, would
+    be a chain carrying the row to the query.
     """
     wanted = set(candidates)
     qes, threshold = scan.qes, scan.threshold
     rest = match < len(qes)
     q = qes[match] if rest else None
-    gapped = rest and scan.gapped
     epsilon, min_gap, max_gap = scan.epsilon, scan.min_gap, scan.max_gap
     min_dura, max_dura, gap_reach = scan.min_dura, scan.max_dura, scan.gap_reach
     pruned = 0
@@ -441,13 +420,11 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
         seq = sequences[sid]
         intervals, minima = seq.intervals, seq._minima or seq.start_minima
         if rest:
-            table = scan[sid]
-            b_other, b_q = table[match], table[match + 1]
-            if gapped:
-                need = scan.gap_table(sid)
-                need_other, need_q = need[match], need[match + 1]
+            starts, columns = scan[sid]
+            b_q = starts[match + 1]
+            need_other, need_q = columns[match], columns[match + 1]
         else:
-            b_other = b_q = len(intervals) + 1  # past every position: no bound
+            b_q = len(intervals) + 1  # past every position: no bound
         # Position p is index p - 1, so a hit before position b_q lies
         # below index b_q - 1; b_q is 0 when the sequence holds none of
         # qes[match + 1:], and then no index is, as a cap of -1 would wrap.
@@ -467,7 +444,8 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
                 q_eid += 1
                 if event not in wanted or q_end - q_start < min_dura:
                     continue
-                if q_eid >= b_other and event != q:
+                up = q_end if q_end > end_t else end_t
+                if rest and up < (need_q if event == q else need_other)[q_eid]:
                     pruned += 1
                     continue
                 # The extension rule, by the comparisons of model._classify
@@ -488,13 +466,9 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
                     d = q_end - end_t
                     rel = OVERLAP if d > epsilon else CONTAIN if -d > epsilon else FINISHED_BY
                 lo = q_start if q_start < start_t else start_t
-                up = q_end if q_end > end_t else end_t
                 # The composite lasts at least as long as the interval, which
                 # passed min_dura above, so only max_dura can fail it.
                 if up - lo > max_dura:
-                    continue
-                if gapped and up < (need_q if event == q else need_other)[q_eid]:
-                    pruned += 1
                     continue
                 hit = (sid, q_eid, lo, up, rel, r)
                 by_sid = hits.get(event)

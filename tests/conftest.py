@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from tirpmine import Constraints, MiningConfig, SymbolicInterval, parse_database
 from tirpmine.database import Database, make_sequence
 from tirpmine.miner import contains_subsequence
+from tirpmine.vertical import reach_table
 
 # The five-sequence worked example used throughout the tests.
 EXAMPLE_TEXT = """\
@@ -74,38 +76,42 @@ def random_trial(seed: int, epsilon: int | None = None):
     return db, constraints, min_sup, qes
 
 
-def earliest_starts(intervals, qes):
-    """Like ``tirpmine.vertical.latest_starts``, but entry ``k`` is where the
-    leftmost embedding of ``qes[k:]`` starts. As the table of query row
-    pruning it is too tight: it drops rows that can still reach the query,
-    so tests patch it in to show that they catch such a bound."""
+def earliest_reach(intervals, qes, gap_reach):
+    """Like ``tirpmine.vertical.reach_table``, but the bound of each rest
+    ``qes[k:]`` is where its leftmost embedding starts, and its column is
+    infinite from that index on. As the table of query row pruning it is
+    too tight: it drops rows that can still reach the query, so tests patch
+    it in to show that they catch such a bound."""
+    _, columns = reach_table(intervals, qes, gap_reach)
     events = [event for _, _, event in intervals]
-    table = []
+    starts = []
     for k in range(len(qes)):
         first, rest = qes[k], qes[k + 1:]
-        starts = [pos for pos in range(1, len(events) + 1) if events[pos - 1] == first
-                  and (not rest or contains_subsequence(events[pos:], rest))]
-        table.append(starts[0] if starts else 0)
-    return tuple(table) + (len(events) + 1,)
+        found = [pos for pos in range(1, len(events) + 1) if events[pos - 1] == first
+                 and (not rest or contains_subsequence(events[pos:], rest))]
+        starts.append(found[0] if found else 0)
+    starts.append(len(events) + 1)
+    return starts, [column[:bound] + [math.inf] * (len(column) - bound)
+                    for column, bound in zip(columns, starts)]
 
 
-def stoneless_ends(intervals, qes, starts, gap_reach):
-    """Like ``tirpmine.vertical.least_ends``, but every step of a chain must
-    be the next query event: no other interval may serve as a stepping
-    stone. As the gap table of query row pruning it is too tight: a chain
-    that bridges a long gap through other intervals is missed, and rows
-    that can still reach the query are dropped, so tests patch it in to show
-    that they catch such a table."""
-    inf = float("inf")
+def stoneless_reach(intervals, qes, gap_reach):
+    """Like ``tirpmine.vertical.reach_table``, but in its columns every
+    step of a chain must be the next query event: no other interval may
+    serve as a stepping stone. As the table of query row pruning it is too
+    tight: a chain that bridges a long gap through other intervals is
+    missed, and rows that can still reach the query are dropped, so tests
+    patch it in to show that they catch such a table."""
+    starts, _ = reach_table(intervals, qes, gap_reach)
     size = len(intervals) + 1
-    tables = [(-inf,) * size]
+    columns = [[-math.inf] * size]
     for k in range(len(qes) - 1, -1, -1):
-        later, column, least = tables[0], [inf] * size, inf
+        later, column, least = columns[0], [math.inf] * size, math.inf
         for i in range(size - 2, -1, -1):
             start, end, event = intervals[i]
             if event == qes[k]:
                 rest = later[i + 1]
-                least = min(least, max(start - gap_reach, rest if end < rest else -inf))
+                least = min(least, max(start - gap_reach, rest if end < rest else -math.inf))
             column[i] = least
-        tables.insert(0, tuple(column))
-    return tuple(tables)
+        columns.insert(0, column)
+    return starts, columns

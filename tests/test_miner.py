@@ -33,9 +33,9 @@ from conftest import (
     EXAMPLE_PATTERNS,
     EXAMPLE_QES,
     EXAMPLE_TEXT,
-    earliest_starts,
+    earliest_reach,
     random_trial,
-    stoneless_ends,
+    stoneless_reach,
 )
 
 
@@ -468,17 +468,17 @@ def test_query_row_pruning_matches_the_oracle():
 
 
 def test_query_row_pruning_from_the_earliest_embedding_misses_patterns(monkeypatch):
-    """A table of the earliest embedding starts drops rows that can still
-    reach the query, and with them patterns or supporting sequences, which
-    the oracle check above catches."""
-    monkeypatch.setattr("tirpmine.vertical.latest_starts", earliest_starts)
+    """A reach table bounded by the earliest embedding starts drops rows
+    that can still reach the query, and with them patterns or supporting
+    sequences, which the oracle check above catches."""
+    monkeypatch.setattr("tirpmine.vertical.reach_table", earliest_reach)
     assert _oracle_misses(range(40)) > 0
 
 
 def test_query_row_pruning_without_stepping_stones_misses_patterns(monkeypatch):
-    """A gap table whose chains step only on query events drops rows that
+    """A reach table whose chains step only on query events drops rows that
     reach the query through other intervals, in the seed screen and in the
     joins, and with them patterns or supporting sequences, which the
     oracle check above catches."""
-    monkeypatch.setattr("tirpmine.vertical.least_ends", stoneless_ends)
+    monkeypatch.setattr("tirpmine.vertical.reach_table", stoneless_reach)
     assert _oracle_misses(range(40)) > 0

@@ -35,11 +35,10 @@ from tirpmine.vertical import (
     Scan,
     VerticalDatabase,
     extend_prefix,
-    latest_starts,
-    least_ends,
+    reach_table,
 )
 
-from conftest import EXAMPLE_CONSTRAINTS, earliest_starts, random_trial, stoneless_ends
+from conftest import EXAMPLE_CONSTRAINTS, earliest_reach, random_trial, stoneless_reach
 
 
 class TestSingletonVdbs:
@@ -405,23 +404,25 @@ def _embeds_after(events, pos, rest) -> bool:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_latest_starts_is_the_greatest_embedding_start(seed):
+    """The bounds of the reach table, on event lists: entry ``k`` is the
+    greatest position at which an embedding of ``qes[k:]`` starts, or 0."""
     rng = random.Random(seed)
     events = [rng.choice("ABC") for _ in range(rng.randint(0, 12))]
     qes = tuple(rng.choice("ABC") for _ in range(rng.randint(1, 4)))
-    table = latest_starts([(0, 0, e) for e in events], qes)
-    assert len(table) == len(qes) + 1 and table[-1] == len(events) + 1
+    starts, _ = reach_table([(0, 0, e) for e in events], qes, math.inf)
+    assert len(starts) == len(qes) + 1 and starts[-1] == len(events) + 1
     for k in range(len(qes)):
-        starts = [pos for pos in range(1, len(events) + 1)
-                  if events[pos - 1] == qes[k] and _embeds_after(events, pos, qes[k + 1:])]
-        assert table[k] == max(starts, default=0)
+        found = [pos for pos in range(1, len(events) + 1)
+                 if events[pos - 1] == qes[k] and _embeds_after(events, pos, qes[k + 1:])]
+        assert starts[k] == max(found, default=0)
 
 
 def test_query_reach_builds_a_sequence_table_once():
     db = parse_database("1|A,0,1 B,2,3 A,4,5 C,6,7\n2|C,0,1 A,2,3\n")
     first, second = db.sequences
     scan = Scan(db, Constraints(), 1, ("A", "C"))
-    assert scan[first.sid] == (3, 4, 5)
-    assert scan[second.sid] == (0, 1, 3)
+    assert scan[first.sid][0] == [3, 4, 5]
+    assert scan[second.sid][0] == [0, 1, 3]
     assert scan[db.restrict([0]).sequences[0].sid] is scan[first.sid]
     assert len(scan) == 2
 
@@ -455,32 +456,38 @@ def _gap_reach(c: Constraints) -> float:
     return math.inf if c.max_gap is None else max(c.max_gap, c.epsilon)
 
 
-@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("seed", range(40))
 def test_least_ends_is_the_least_end_a_chain_reaches_the_rest_from(seed):
-    """Each entry of the gap table, on random sequences at epsilon 0 to 2
-    and max_gap finite or unbounded: a chain from an envelope ending at the
-    entry reaches the rest of the query, and none from one unit less; an
-    infinite entry is reached from no end, and with no gap bound the finite
-    entries are exactly those below ``latest_starts``'."""
+    """The whole reach table of random sequences at epsilon 0 to 2, with
+    max_gap finite and unbounded: each bound is the greatest position at
+    which an embedding of its rest of the query starts; a chain from an
+    envelope ending at a finite entry reaches that rest, and none from one
+    unit less; an infinite entry is reached from no end; and with no gap
+    bound the entries below the bound are minus infinity, the rest
+    infinity."""
     rng = random.Random(seed)
     epsilon = seed % 3
     for _ in range(4):
         seq = make_sequence(1, {(s, s + rng.randint(0, 6), rng.choice("ABC"))
-                                for s in (rng.randrange(40) for _ in range(rng.randint(0, 9)))},
+                                for s in (rng.randrange(40) for _ in range(rng.randint(0, 12)))},
                             epsilon)
         intervals = seq.intervals
-        qes = tuple(rng.choice("ABC") for _ in range(rng.randint(1, 3)))
-        starts = latest_starts(intervals, qes)
+        events = [event for _, _, event in intervals]
+        size = len(intervals) + 1
+        qes = tuple(rng.choice("ABC") for _ in range(rng.randint(1, 4)))
         for max_gap in (rng.randint(0, 8), None):
             reach = _gap_reach(Constraints(epsilon=epsilon, max_gap=max_gap))
-            tables = least_ends(intervals, qes, starts, reach)
-            assert len(tables) == len(qes) + 1
-            assert tables[-1] == (-math.inf,) * (len(intervals) + 1)
-            for k, table in enumerate(tables[:-1]):
-                assert len(table) == len(intervals) + 1
-                for i, least in enumerate(table):
+            starts, columns = reach_table(intervals, qes, reach)
+            assert len(starts) == len(columns) == len(qes) + 1
+            assert starts[-1] == size and columns[-1] == [-math.inf] * size
+            for k, column in enumerate(columns[:-1]):
+                found = [pos for pos in range(1, size) if events[pos - 1] == qes[k]
+                         and _embeds_after(events, pos, qes[k + 1:])]
+                assert starts[k] == max(found, default=0)
+                assert len(column) == size
+                for i, least in enumerate(column):
                     if max_gap is None:
-                        assert (least == -math.inf) == (i < starts[k]), (k, i)
+                        assert least == (-math.inf if i < starts[k] else math.inf), (k, i)
                     if math.isinf(least):
                         end = 10 ** 6 if least > 0 else -10 ** 6
                         assert _chain_reaches(intervals, i, end, qes[k:], reach) == (least < 0)
@@ -555,34 +562,48 @@ def test_extend_prefix_with_reach_keeps_the_rows_that_reach_the_query():
 
 
 def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
-    """A table of the earliest embedding starts instead of the latest keeps
-    a row only if it lies before the leftmost embedding of the rest of the
-    query, and so drops rows that still reach it: the check above fails."""
-    monkeypatch.setattr("tirpmine.vertical.latest_starts", earliest_starts)
+    """A reach table bounded by the earliest embedding starts instead of the
+    latest keeps a row only if it lies before the leftmost embedding of the
+    rest of the query, and so drops rows that still reach it: the check
+    above fails."""
+    monkeypatch.setattr("tirpmine.vertical.reach_table", earliest_reach)
     mismatches, _, _ = _reach_mismatches(range(60))
     assert mismatches > 0
 
 
 def test_reach_without_stepping_stones_drops_rows_it_must_keep(monkeypatch):
-    """A gap table whose chains may step only on query events misses the
+    """A reach table whose chains may step only on query events misses the
     chains that bridge a gap through other intervals: the check above
     fails."""
-    monkeypatch.setattr("tirpmine.vertical.least_ends", stoneless_ends)
+    monkeypatch.setattr("tirpmine.vertical.reach_table", stoneless_reach)
     mismatches, _, _ = _reach_mismatches(range(60))
     assert mismatches > 0
 
 
 def test_a_join_keeps_no_hit_where_the_rest_of_the_query_is_absent():
     """A prefix row in a sequence that holds none of the query after its
-    next event: ``latest_starts`` gives 0 there, and the window's cap must
-    stay at index 0, where a cap of -1 would wrap the slice round to the
-    end and return the ``A`` hit, with and without a gap bound."""
+    next event: the reach table's bound is 0 there, and so is the bound of
+    the whole query, which starts below it. The window's cap must stay at
+    index 0, where a cap of -1 would wrap the slice round to the end and
+    return the ``A`` hit, with and without a gap bound."""
     db = parse_database("1|D,0,1 A,2,3 X,4,5\n")
     for max_gap in (None, 5):
         c = Constraints(max_gap=max_gap)
         scan = Scan(db, c, 1, ("A", "Z"))
         assert extend_prefix(build_singleton_vdbs(db, c)["D"], ["A"], scan) == {}
-        assert scan[1] == (0, 0, 4)
+        assert scan[1][0] == [0, 0, 4]
+
+
+def test_a_join_tests_reach_before_the_extension_rule():
+    """The ``C`` hit starts 1 after the ``A`` row ends, under min_gap 2, and
+    from its envelope no chain reaches ``Z`` within max_gap 3: only the
+    stone ``B`` bridges that gap. The reach test comes first, so the hit
+    counts in ``scan.pruned`` though the rule would refuse it too."""
+    db = parse_database("1|A,0,5 B,5,9 C,6,7 Z,12,13\n")
+    c = Constraints(min_gap=2, max_gap=3)
+    scan = Scan(db, c, 1, ("A", "Z"))
+    got = extend_prefix(build_singleton_vdbs(db, c)["A"], ["B", "C"], scan, 1)
+    assert got.keys() == {"B"} and scan.pruned == 1
 
 
 def _screened_keys(db, c, t, query) -> set:
@@ -621,7 +642,7 @@ def test_the_seed_screen_builds_the_live_rows():
                             db.sequence_by_sid[sid].intervals, r[1], r[3], rest, reach)]
                         for sid, rows in v.by_sid.items()}
                 live[e] = {sid: rows for sid, rows in rows.items() if rows}
-            dead = sum(r[1] <= latest_starts(db.sequence_by_sid[sid].intervals, query)[0]
+            dead = sum(r[1] <= reach_table(db.sequence_by_sid[sid].intervals, query, reach)[0][0]
                        and r not in live[e].get(sid, ())
                        for e, v in full.items() for sid, rows in v.by_sid.items() for r in rows)
             supports = {len(v) for v in live.values()}
@@ -639,19 +660,17 @@ def test_the_seed_screen_builds_the_live_rows():
                     kept += bool(want) and want != full[e].by_sid
                 if t == 1:
                     assert scan.pruned == dead
-                # A gap table is built only for a sequence where some
-                # screened row passes ``latest_starts``.
-                assert scan.gap_tables.keys() <= {
-                    sid for e, v in full.items() if (k := int(e == query[0])) < len(query)
-                    for sid, rows in v.by_sid.items() if any(r[1] < scan[sid][k] for r in rows)}
+                # A reach table is built only when some event is screened.
+                own = query[0] if len(query) == 1 else None
+                assert not scan or any(count >= t for e, count in db.event_support.items()
+                                       if e != own)
     # Some frequent event was left with no seed, and some seed lost rows.
     assert emptied > 0 and kept > 0
 
 
 class _Unread(tuple):
     """An interval that fails the test when it is unpacked, as the singleton
-    pass unpacks each interval it reads. Indexing it, as ``latest_starts``
-    does, reads the tuple as usual."""
+    pass unpacks each interval it reads."""
 
     def __iter__(self):
         raise AssertionError(f"read {tuple.__repr__(self)}")
@@ -662,21 +681,23 @@ def test_the_seed_screen_reads_no_interval_past_the_querys_latest_start():
     ``scan[sid][0]``, the latest start of the query; a sequence without the
     query is not read at all. Every interval past that position is an
     ``_Unread``, and the seeds are those of the same text parsed plainly.
-    Under a gap bound, ``least_ends`` reads the intervals up to the latest
-    start of each rest of the query, so there the query is one event."""
+    The scan is over the plain database, so its reach tables read the
+    plain intervals and only the pass's own reads meet the cut, with and
+    without a gap bound."""
     text = ("1|A,0,1 C,2,3 A,4,5 B,6,7 C,8,9 B,10,11\n"
             "2|C,0,1 B,2,3 C,4,5\n"
             "3|B,0,1 A,2,3 B,4,5 A,6,7\n")
     plain = parse_database(text)
-    for qes, c in ((("A", "B"), Constraints()), (("A",), Constraints(max_gap=1))):
+    for qes, c in ((("A", "B"), Constraints()), (("A", "B"), Constraints(max_gap=1)),
+                   (("A",), Constraints(max_gap=1))):
         cut = Database(tuple(
             TimeIntervalSequence(seq.sid, tuple(
-                iv if pos <= latest_starts(seq.intervals, qes)[0] else _Unread(iv)
+                iv if pos <= reach_table(seq.intervals, qes, math.inf)[0][0] else _Unread(iv)
                 for pos, iv in enumerate(seq.intervals, start=1)))
             for seq in plain.sequences))
         vars(cut)["event_support"] = plain.event_support  # read without unpacking
         for threshold in (1, 2):
-            got = build_singleton_vdbs(cut, c, threshold, Scan(cut, c, threshold, qes))
+            got = build_singleton_vdbs(cut, c, threshold, Scan(plain, c, threshold, qes))
             want = build_singleton_vdbs(plain, c, threshold, Scan(plain, c, threshold, qes))
             assert got == want
     assert got["A"].by_sid == {1: [(1, 1, 0, 1, None, None), (1, 3, 4, 5, None, None)],
@@ -687,18 +708,18 @@ def test_the_seed_screen_reads_no_interval_past_the_querys_latest_start():
 
 def test_the_seed_screen_builds_no_query_table_when_no_event_is_screened(monkeypatch):
     """With no query, or a one-event query whose event is the only frequent
-    one, nothing is screened: no ``latest_starts`` table is built, and the
-    rows are those of the pass without a scan. With any event screened,
-    every sequence gets one table, those without the query too, until no
-    screened event can reach the threshold: at threshold 3 the query B, A
-    leaves A no live row in the first two sequences, and the pass stops."""
+    one, nothing is screened: no reach table is built, and the rows are
+    those of the pass without a scan. With any event screened, every
+    sequence gets one table, those without the query too, until no screened
+    event can reach the threshold: at threshold 3 the query B, A leaves A
+    no live row in the first two sequences, and the pass stops."""
     calls = Counter()
 
-    def counted_starts(intervals, qes):
-        calls["starts"] += 1
-        return latest_starts(intervals, qes)
+    def counted_tables(*args):
+        calls["tables"] += 1
+        return reach_table(*args)
 
-    monkeypatch.setattr("tirpmine.vertical.latest_starts", counted_starts)
+    monkeypatch.setattr("tirpmine.vertical.reach_table", counted_tables)
     db = parse_database("1|A,0,1 B,2,3\n2|A,0,1 C,2,3\n3|A,4,5 D,6,7\n4|E,0,1\n")
     c = Constraints(max_gap=5)
     for qes, threshold, tables in (((), 1, 0), (("A",), 3, 0), (("A",), 1, 4),
@@ -706,7 +727,7 @@ def test_the_seed_screen_builds_no_query_table_when_no_event_is_screened(monkeyp
         calls.clear()
         scan = Scan(db, c, threshold, qes)
         vdbs = build_singleton_vdbs(db, c, threshold, scan)
-        assert calls["starts"] == len(scan) == tables
+        assert calls["tables"] == len(scan) == tables
         if not tables:
             assert vdbs == build_singleton_vdbs(db, c, threshold)
     # After the stop a one-event query's own event is read on, unscreened.
@@ -714,7 +735,7 @@ def test_the_seed_screen_builds_no_query_table_when_no_event_is_screened(monkeyp
     calls.clear()
     scan = Scan(db, c, 3, ("A",))
     vdbs = build_singleton_vdbs(db, c, 3, scan)
-    assert calls["starts"] == len(scan) == 2
+    assert calls["tables"] == len(scan) == 2
     assert vdbs["A"].vertical_support() == 4 and vdbs["B"].by_sid == {}
 
 
@@ -787,11 +808,9 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
 
     * a mined query, targeted (with and without sequence filtering) or
       full, reads each sequence's ``start_minima`` property at most once,
-      however many joins reach the sequence, and builds its query table at
+      however many joins reach the sequence, and builds its reach table at
       most once, for a sequence a join or the seed screen reaches, and none
       in full mining;
-    * it builds a sequence's gap table at most once too, and only under a
-      gap bound, in targeted mining, for a sequence that holds the query;
     * a scan of ``db`` serves prefixes of ``db.restrict``: it reads the
       same sequence objects and builds the tables a scan of the
       restriction builds;
@@ -799,22 +818,18 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
       query row pruning, gives ``extend_vdb``'s rows for every candidate at
       or above the threshold, and prunes nothing at any ``match``; so does
       a scan whose query is matched, which builds no table."""
-    reads, reached, tables, gaps = Counter(), Counter(), Counter(), Counter()
+    reads, reached, tables = Counter(), Counter(), Counter()
     start_minima, join = TimeIntervalSequence.start_minima, miner.extend_prefix
-    seeds, ends = miner.build_singleton_vdbs, least_ends
+    seeds = miner.build_singleton_vdbs
     sid_of = {}
 
     def counted_minima(seq):
         reads[seq.sid] += 1
         return start_minima.fget(seq)
 
-    def counted_table(self, sid):
-        tables[sid] += 1
-        return missing(self, sid)
-
-    def counted_ends(intervals, *args):
-        gaps[sid_of[id(intervals)]] += 1
-        return ends(intervals, *args)
+    def counted_table(intervals, *args):
+        tables[sid_of[id(intervals)]] += 1
+        return reach_table(intervals, *args)
 
     def counted_join(prefix, candidates, scan, match=0):
         reached.update(prefix.by_sid.keys())
@@ -824,20 +839,17 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
         reached.update(seq.sid for seq in db.sequences)
         return seeds(db, *args)
 
-    missing = Scan.__missing__
     monkeypatch.setattr(TimeIntervalSequence, "start_minima", property(counted_minima))
     monkeypatch.setattr(miner, "extend_prefix", counted_join)
     monkeypatch.setattr(miner, "build_singleton_vdbs", counted_seeds)
-    monkeypatch.setattr(Scan, "__missing__", counted_table)
-    monkeypatch.setattr("tirpmine.vertical.least_ends", counted_ends)
-    shared, gapped = 0, Counter()
+    monkeypatch.setattr("tirpmine.vertical.reach_table", counted_table)
+    shared, built = 0, 0
     for seed in range(12):
         for epsilon in (0, 1, 2):
             db, c, min_sup, qes = random_trial(seed, epsilon=epsilon)
             sid_of = {id(seq.intervals): seq.sid for seq in db.sequences}
-            holds = {seq.sid for seq in db.sequences if latest_starts(seq.intervals, qes)[0]}
             for mode, usfp in (("targeted", True), ("targeted", False), ("full", True)):
-                for counter in (reads, reached, tables, gaps):
+                for counter in (reads, reached, tables):
                     counter.clear()
                 mine(db, qes, MiningConfig(min_sup=min_sup, constraints=c, mode=mode,
                                            strategies=StrategyFlags(usfp=usfp),
@@ -845,9 +857,7 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
                 assert set(reads.values()) <= {1} and reads.keys() <= reached.keys()
                 assert set(tables.values()) <= {1} and tables.keys() <= reached.keys()
                 assert mode == "targeted" or not tables
-                assert set(gaps.values()) <= {1} and gaps.keys() <= tables.keys() & holds
-                assert mode == "targeted" and c.max_gap is not None or not gaps
-                gapped[c.max_gap is not None, bool(tables), bool(gaps)] += 1
+                built += bool(tables)
                 shared += sum(reached[sid] > 1 for sid in reads)
 
             t = max(1, math.ceil(min_sup * len(db)))
@@ -857,9 +867,8 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
             whole, own = Scan(db, c, t, qes), Scan(restricted, c, t, qes)
             for seq in restricted.sequences:
                 assert whole.sequences[seq.sid] is seq is own.sequences[seq.sid]
-                assert whole[seq.sid] == own[seq.sid] == latest_starts(seq.intervals, qes)
-                if c.max_gap is not None:
-                    assert whole.gap_table(seq.sid) == own.gap_table(seq.sid)
+                assert whole[seq.sid] == own[seq.sid] == reach_table(
+                    seq.intervals, qes, _gap_reach(c))
             for prefix in singletons.values():
                 want = {e: list(ext.by_sid.items()) for e in events
                         if (ext := extend_vdb(prefix, e, singletons[e], c)).vertical_support() >= t}
@@ -868,12 +877,10 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
                 for scan, match in runs:
                     got = extend_prefix(prefix, events, scan, match)
                     assert {e: list(v.by_sid.items()) for e, v in got.items()} == want
-                    assert scan.pruned == 0 and not scan and not scan.gap_tables
-    # Some sequence was reached by more than one join of one query; gap
-    # tables were built under a gap bound, and some trial without one
-    # built query tables but no gap table.
-    assert shared > 0
-    assert gapped[True, True, True] > 0 and gapped[False, True, False] > 0
+                    assert scan.pruned == 0 and not scan
+    # Some sequence was reached by more than one join of one query, and
+    # some run built reach tables.
+    assert shared > 0 and built > 0
 
 
 def _replay_relations(seq, row: PatternOccurrence, epsilon: int) -> None:
