@@ -7,11 +7,15 @@ is its number of keys. Singleton lists are in ascending ``eid`` order.
 A row records one embedding of a pattern in one sequence as a plain tuple
 ``(sid, eid, start_t, end_t, relation, prefix)``: positions are 1-based,
 ``eid`` is the position of the last source interval, and ``start_t``/``end_t``
-are the composite envelope. An extended row keeps only its last step's
-relation and a link to the prefix row it extends, so a new row costs O(1)
-at any depth. ``VerticalDatabase.rows`` returns the rows as
-``PatternOccurrence``s, the named type with the same fields, whose
-relations and source positions are read back through the links.
+are the composite envelope. An extended row keeps a link to the prefix row
+it extends, so a new row costs O(1) at any depth. Only ``extend_vdb``
+records the relation of a row's last step; the search's rows, from
+``extend_prefix``, hold None there, since no result reads it.
+``VerticalDatabase.rows`` returns the rows as ``PatternOccurrence``s, the
+named type with the same fields, whose source positions, and relations
+where recorded, are read back through the links. A later change that keys
+patterns by their relations, as the paper's TIRPs are, would have to group
+rows by relation and classify each step again.
 
 A prefix is grown by all its candidate events at once: ``extend_prefix``
 scans each prefix row's own sequence over the intervals the row can reach,
@@ -26,8 +30,8 @@ hit after which the sequence no longer holds that rest. It reads one
 ``reach_table`` per sequence. The singleton pass applies the same test to
 the seeds, read only up to the query's latest start, and a seed with too
 few live sequences is never joined: each row is tested once, where it is
-born. The scan applies the extension rule inline, with its own
-comparisons.
+born. The scan applies the extension rule's bounds inline, with its own
+comparisons, and classifies no step.
 ``extend_vdb`` joins a prefix with one candidate's singleton rows by a
 plain scan of every later row, through ``model._check_extension``;
 together they are the independent reference the scan is tested against.
@@ -39,18 +43,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .model import (
-    BEFORE,
-    CONTAIN,
-    EQUAL,
-    FINISHED_BY,
-    LEFT_CONTAIN,
-    MEET,
-    OVERLAP,
-    STARTS,
-    Constraints,
-    _check_extension,
-)
+from .model import Constraints, _check_extension
 from .database import Database
 
 
@@ -60,7 +53,9 @@ class PatternOccurrence(NamedTuple):
     eid: int
     start_t: int
     end_t: int
-    relation: str | None = None  # relation of the last step; None for a singleton
+    # The last step's relation, recorded by extend_vdb only; None for a
+    # singleton and for every row extend_prefix builds.
+    relation: str | None = None
     prefix: tuple | None = None
 
     def _chain(self) -> list[tuple]:
@@ -247,7 +242,9 @@ def extend_vdb(
     Every candidate row with a larger eid in the same sequence as a prefix
     row is screened by the extension validity rule against the prefix row's
     composite envelope ``(start_t, end_t)``. Rows come out grouped by
-    sequence in the prefix's order, then by prefix row, then by eid.
+    sequence in the prefix's order, then by prefix row, then by eid, and
+    each records the relation the rule classified its step as: this is the
+    one join that records relations.
 
     This is the reference ``extend_prefix`` is tested against, so it shares
     none of its window logic.
@@ -359,7 +356,8 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
 
     Returns, for each event in ``candidates`` whose extension holds at least
     ``scan.threshold`` sequences, the database ``extend_vdb`` returns for it
-    with that event's singleton database, row for row and in the same order.
+    with that event's singleton database, row for row and in the same order,
+    with each row's relation set to None.
     The prefix has matched ``scan.qes[:match]``, and the rows are those of
     that database that can still reach the rest of the query, as below;
     with no query left, all of them.
@@ -376,15 +374,18 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
     duration is at least min_dura. (A duration over max_dura needs no check
     here, since it makes every composite holding the interval too long.)
 
-    The extension rule is applied inline, by the same comparisons as
-    ``model._check_extension``, whose callers ``extend_vdb`` and the oracle
-    are the independent reference this scan is tested against. Hits are
-    built as rows and grouped in first-hit order. Once an event's sequences
-    found plus the prefix's sequences left fall short of the threshold, the
-    event is dropped from the scan with its hits, and the scan ends when
-    none is left; only the events with hits are counted again, since any
-    other falls short first. An event with no hit is never returned,
-    whatever the threshold.
+    Of the extension rule, only its bounds are applied inline, by the same
+    comparisons as ``model._check_extension``: the ordering precondition,
+    min_gap and max_gap on a gap over epsilon (a before step), and the
+    composite's max_dura. Whether a row exists depends on nothing else, so
+    the step's relation is never classified. The rule's callers,
+    ``extend_vdb`` and the oracle, are the independent reference this scan
+    is tested against. Hits are built as rows and grouped in first-hit
+    order. Once an event's sequences found plus the prefix's sequences left
+    fall short of the threshold, the event is dropped from the scan with its
+    hits, and the scan ends when none is left; only the events with hits are
+    counted again, since any other falls short first. An event with no hit
+    is never returned, whatever the threshold.
 
     Query row pruning: while ``match`` is short of the query, with ``q``
     the next query event and ``starts, columns`` the row's sequence's
@@ -448,29 +449,20 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
                 if rest and up < (need_q if event == q else need_other)[q_eid]:
                     pruned += 1
                     continue
-                # The extension rule, by the comparisons of model._classify
-                # and model._check_extension.
+                # The bounds of model._check_extension, by its comparisons:
+                # the ordering precondition, and the gap bounds on a before
+                # step, one whose gap exceeds epsilon.
                 if start_t - q_start > epsilon:
-                    continue  # the ordering precondition fails
+                    continue
                 gap = q_start - end_t
-                if gap > epsilon:
-                    if gap < min_gap or gap > max_gap:
-                        continue
-                    rel = BEFORE
-                elif -gap <= epsilon:
-                    rel = MEET
-                elif q_start - start_t <= epsilon:  # the starts are quasi-equal
-                    d = q_end - end_t
-                    rel = STARTS if d > epsilon else LEFT_CONTAIN if -d > epsilon else EQUAL
-                else:
-                    d = q_end - end_t
-                    rel = OVERLAP if d > epsilon else CONTAIN if -d > epsilon else FINISHED_BY
+                if gap > epsilon and (gap < min_gap or gap > max_gap):
+                    continue
                 lo = q_start if q_start < start_t else start_t
                 # The composite lasts at least as long as the interval, which
                 # passed min_dura above, so only max_dura can fail it.
                 if up - lo > max_dura:
                     continue
-                hit = (sid, q_eid, lo, up, rel, r)
+                hit = (sid, q_eid, lo, up, None, r)
                 by_sid = hits.get(event)
                 if by_sid is None:
                     hits[event] = {sid: [hit]}

@@ -249,14 +249,16 @@ def test_rows_are_untracked_plain_tuples(example_db):
     """Every stored row, at depths 1 to 3, is an exact tuple, which the
     garbage collector stops tracking once its prefix row is untracked, one
     depth per collection; it tracks a named tuple for life. ``rows`` gives
-    the stored rows, in order, as occurrences."""
+    the stored rows, in order, as occurrences. The relations of
+    ``extend_vdb``'s rows replay from their sources; ``extend_prefix``
+    records none, and its rows' sources replay to their envelopes."""
     c = EXAMPLE_CONSTRAINTS
     singletons = build_singleton_vdbs(example_db, c)
     cb = extend_vdb(singletons["C"], "B", singletons["B"], c)
     scan = Scan(example_db, c, 1)
-    vdbs = [*singletons.values(), cb,
-            *extend_prefix(singletons["C"], sorted(singletons), scan).values(),
-            *extend_prefix(cb, sorted(singletons), scan).values()]
+    joined = [*extend_prefix(singletons["C"], sorted(singletons), scan).values(),
+              *extend_prefix(cb, sorted(singletons), scan).values()]
+    vdbs = [*singletons.values(), cb, *joined]
     assert {len(v.events) for v in vdbs} == {1, 2, 3}
     stored = [[r for rows in v.by_sid.values() for r in rows] for v in vdbs]
     for _ in range(3):
@@ -269,7 +271,12 @@ def test_rows_are_untracked_plain_tuples(example_db):
         assert v.rows == rows
         for r in v.rows:
             assert type(r) is PatternOccurrence
-            _replay_relations(example_db.sequence_by_sid[r.sid], r, c.epsilon)
+            seq = example_db.sequence_by_sid[r.sid]
+            if any(v is j for j in joined):
+                assert r.relation is None
+                _replay_envelope(seq, r)
+            else:
+                _replay_relations(seq, r, c.epsilon)
     for v in singletons.values():
         assert all(r.relations == () and r.sources == (r.eid,) for r in v.rows)
     (row,) = [r for r in cb.rows if r.sid == 1]
@@ -319,7 +326,8 @@ def test_extension_invariants_on_random_dbs(seed):
 def test_extend_prefix_is_extend_vdb_for_each_frequent_candidate():
     """One scan for all candidates returns exactly the candidates whose join
     reaches the threshold, each with extend_vdb's rows in extend_vdb's order,
-    at epsilon 0 to 2, from prefixes of one and two events."""
+    relations set to None, at epsilon 0 to 2, from prefixes of one and two
+    events."""
     at_threshold = below = dura_binds = 0
     for seed in range(60):
         db, c, min_sup, _qes = random_trial(seed, epsilon=seed % 3)
@@ -345,7 +353,7 @@ def test_extend_prefix_is_extend_vdb_for_each_frequent_candidate():
                 assert set(joined) == {e for e, v in full.items() if v.vertical_support() >= t}
                 for e, ext in joined.items():
                     assert ext.events == prefix.events + (e,)
-                    assert list(ext.by_sid.items()) == list(full[e].by_sid.items())
+                    assert list(ext.by_sid.items()) == _unlabelled(full[e].by_sid)
                 at_threshold += any(v.vertical_support() == t for v in joined.values())
                 below += any(v.vertical_support() == t - 1 > 0 for v in full.values())
     # A candidate exactly at a threshold was returned, one a sequence short
@@ -354,18 +362,44 @@ def test_extend_prefix_is_extend_vdb_for_each_frequent_candidate():
     assert dura_binds > 0
 
 
+def test_extend_prefix_records_no_relation(monkeypatch):
+    """The search's join applies the extension rule's bounds and classifies
+    no step: over ``random_trial`` databases at epsilon 0 to 2, every row
+    ``extend_prefix`` builds in a mined query, targeted with and without
+    query row pruning or full, holds None as its relation."""
+    join, relations = miner.extend_prefix, Counter()
+
+    def recorded_join(prefix, candidates, scan, match=0):
+        joined = join(prefix, candidates, scan, match)
+        relations.update(r[4] for v in joined.values() for rows in v.by_sid.values()
+                         for r in rows)
+        return joined
+
+    monkeypatch.setattr(miner, "extend_prefix", recorded_join)
+    for seed in range(30):
+        for epsilon in (0, 1, 2):
+            db, c, min_sup, qes = random_trial(seed, epsilon=epsilon)
+            for mode, uqrp in (("targeted", True), ("targeted", False), ("full", True)):
+                mine(db, qes, MiningConfig(min_sup=min_sup, constraints=c, mode=mode,
+                                           strategies=StrategyFlags(uqrp=uqrp),
+                                           max_pattern_length=4))
+    assert relations.keys() == {None} and relations[None] > 0
+
+
 @pytest.mark.parametrize("epsilon", [0, 1, 2])
 def test_extend_prefix_applies_the_rule_of_extend_vdb_at_every_edge(epsilon):
-    """The scan's inline extension rule against ``extend_vdb``'s, on every
-    two-interval sequence of a time grid up to translation: an A starting
-    at epsilon and a B anywhere, either of which may sort first. The grid
-    is wide enough for an overlap at epsilon. A prefix row ends at the
-    first interval, with every envelope that starts with it and ends no
-    earlier, as a composite ending there may have; without the wider ones
-    no pair is left-contained. Each bound is swept over every value its edges take on
-    the grid and one past it, so every pair meets each bound at, one below
-    and one above its own gap or duration. Rows, relation letters included,
-    must be equal; all eight relations occur and each bound drops some row."""
+    """The scan's inline bounds of the extension rule against
+    ``extend_vdb``'s rule, on every two-interval sequence of a time grid up
+    to translation: an A starting at epsilon and a B anywhere, either of
+    which may sort first. The grid is wide enough for an overlap at
+    epsilon. A prefix row ends at the first interval, with every envelope
+    that starts with it and ends no earlier, as a composite ending there
+    may have; without the wider ones no pair is left-contained. Each bound
+    is swept over every value its edges take on the grid and one past it,
+    so every pair meets each bound at, one below and one above its own gap
+    or duration. Rows must be equal but for the relation, which only
+    ``extend_vdb`` records; all eight relations occur in its rows, and each
+    bound drops some row."""
     grid = 4 * epsilon + 5
     spans = [(s, e) for s in range(grid + 1) for e in range(s, grid + 1)]
     db = Database(tuple(
@@ -387,8 +421,8 @@ def test_extend_prefix_applies_the_rule_of_extend_vdb_at_every_edge(epsilon):
         got = extend_prefix(prefix, events, Scan(db, c, 1))
         assert got.keys() == want.keys()
         for e, ext in got.items():
-            assert list(ext.by_sid.items()) == list(want[e].by_sid.items())
-            relations.update(r[4] for rows in ext.by_sid.values() for r in rows)
+            assert list(ext.by_sid.items()) == _unlabelled(want[e].by_sid)
+            relations.update(r[4] for rows in want[e].by_sid.values() for r in rows)
         rows_at[name, value] = sum(len(rows) for ext in got.values()
                                    for rows in ext.by_sid.values())
     assert relations == set(RELATIONS)
@@ -548,7 +582,7 @@ def _reach_mismatches(seeds):
                     scan = Scan(db, c, t, query)
                     joined = extend_prefix(prefix, candidates, scan, match)
                     got = {e: list(v.by_sid.items()) for e, v in joined.items()}
-                    want = {e: list(v.items()) for e, v in expected.items() if len(v) >= t}
+                    want = {e: _unlabelled(v) for e, v in expected.items() if len(v) >= t}
                     mismatches += got != want
                     pruned += scan.pruned
     return mismatches, filtered, pruned
@@ -815,9 +849,10 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
       same sequence objects and builds the tables a scan of the
       restriction builds;
     * a scan with no query, as in full mining and in presets without
-      query row pruning, gives ``extend_vdb``'s rows for every candidate at
-      or above the threshold, and prunes nothing at any ``match``; so does
-      a scan whose query is matched, which builds no table."""
+      query row pruning, gives ``extend_vdb``'s rows, relations set to
+      None, for every candidate at or above the threshold, and prunes
+      nothing at any ``match``; so does a scan whose query is matched,
+      which builds no table."""
     reads, reached, tables = Counter(), Counter(), Counter()
     start_minima, join = TimeIntervalSequence.start_minima, miner.extend_prefix
     seeds = miner.build_singleton_vdbs
@@ -870,7 +905,7 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
                 assert whole[seq.sid] == own[seq.sid] == reach_table(
                     seq.intervals, qes, _gap_reach(c))
             for prefix in singletons.values():
-                want = {e: list(ext.by_sid.items()) for e in events
+                want = {e: _unlabelled(ext.by_sid) for e in events
                         if (ext := extend_vdb(prefix, e, singletons[e], c)).vertical_support() >= t}
                 runs = [(Scan(db, c, t), match) for match in (0, 1, 2)]
                 runs.append((Scan(db, c, t, qes), len(qes)))
@@ -891,3 +926,16 @@ def _replay_relations(seq, row: PatternOccurrence, epsilon: int) -> None:
         assert classify_relation(Span(lo, hi), nxt, epsilon) == rel
         lo, hi = min(lo, nxt.start), max(hi, nxt.end)
     assert (lo, hi) == (row.start_t, row.end_t)
+
+
+def _replay_envelope(seq, row: PatternOccurrence) -> None:
+    """Re-derive a row's envelope from its source intervals."""
+    spans = [seq.intervals[pos - 1] for pos in row.sources]
+    assert (min(s for s, _, _ in spans), max(e for _, e, _ in spans)) == (row.start_t, row.end_t)
+
+
+def _unlabelled(by_sid) -> list:
+    """``extend_vdb``'s rows as ``extend_prefix`` builds them, ``by_sid``'s
+    items in order with each row's relation set to None; keys, sids,
+    positions, envelopes and prefix links are kept."""
+    return [(sid, [(*r[:4], None, r[5]) for r in rows]) for sid, rows in by_sid.items()]
