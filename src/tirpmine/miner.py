@@ -12,10 +12,12 @@ search space:
   with the last event is below threshold;
 * query row pruning (UQRP): drop each row whose own sequence no longer
   holds the unmatched rest of the query after it, or, under a gap bound,
-  from which no chain of gap-bounded steps reaches that rest, and with it
-  a branch left with too few sequences; the singleton pass reads each
-  sequence only up to the query's latest start and builds only the live
-  rows of the seeds, and a seed left with too few is not grown.
+  from which no chain of gap-bounded steps reaches that rest, stepping
+  only on query events and on intervals the search could append (of an
+  event frequent in the mined sequences, within the duration bounds), and
+  with it a branch left with too few sequences; the singleton pass reads
+  each sequence only up to the query's latest start and builds only the
+  live rows of the seeds, and a seed left with too few is not grown.
 
 The default is USFP plus UQRP. UQPP and UEPP read a pair support matrix,
 built only when one of them is on; since UQRP drops the same work row by
@@ -94,8 +96,10 @@ class STirpResult:
 class MiningStats:
     """Counters of one run. ``pruned_uqrp`` counts the work query row
     pruning saves: prefix rows whose window a join cuts short, and the hits
-    and seed rows its reach table drops. Rows past the query's latest start
-    are never read or counted."""
+    and seed rows its reach table drops, those that reach the query only
+    through intervals of infrequent events or outside the duration bounds
+    among them. Rows past the query's latest start are never read or
+    counted."""
 
     sequences_filtered: int = 0
     join_operations: int = 0
@@ -235,7 +239,10 @@ def _mine_stream(db: Database, qes, cfg: MiningConfig):
     search_qes = qes if targeted else ()
     flags = cfg.strategies
     # The scan reads mine()'s own db, whose sid index outlives the query.
-    scan = Scan(db, c, threshold, search_qes if flags.uqrp else ())
+    # Its chains step only on intervals of events frequent in the working
+    # database, the singleton pass's superset of every join candidate.
+    stones = {e for e, count in working.event_support.items() if count >= threshold}
+    scan = Scan(db, c, threshold, search_qes if flags.uqrp else (), stones)
     singletons = build_singleton_vdbs(working, c, threshold, scan)
     sf = sorted(singletons)
     # The search reads the matrix only at (frequent, frequent) and

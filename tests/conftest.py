@@ -76,13 +76,13 @@ def random_trial(seed: int, epsilon: int | None = None):
     return db, constraints, min_sup, qes
 
 
-def earliest_reach(intervals, qes, gap_reach):
-    """Like ``tirpmine.vertical.reach_table``, but the bound of each rest
-    ``qes[k:]`` is where its leftmost embedding starts, and its column is
-    infinite from that index on. As the table of query row pruning it is
-    too tight: it drops rows that can still reach the query, so tests patch
-    it in to show that they catch such a bound."""
-    _, columns = reach_table(intervals, qes, gap_reach)
+def earliest_reach(intervals, qes, gap_reach, *stone_rule):
+    """Like ``tirpmine.vertical.reach_table``, with the same stones, but the
+    bound of each rest ``qes[k:]`` is where its leftmost embedding starts,
+    and its column is infinite from that index on. As the table of query
+    row pruning it is too tight: it drops rows that can still reach the
+    query, so tests patch it in to show that they catch such a bound."""
+    _, columns = reach_table(intervals, qes, gap_reach, *stone_rule)
     events = [event for _, _, event in intervals]
     starts = []
     for k in range(len(qes)):
@@ -95,14 +95,15 @@ def earliest_reach(intervals, qes, gap_reach):
                     for column, bound in zip(columns, starts)]
 
 
-def stoneless_reach(intervals, qes, gap_reach):
+def stoneless_reach(intervals, qes, gap_reach, *stone_rule):
     """Like ``tirpmine.vertical.reach_table``, but in its columns every
     step of a chain must be the next query event: no other interval may
-    serve as a stepping stone. As the table of query row pruning it is too
-    tight: a chain that bridges a long gap through other intervals is
-    missed, and rows that can still reach the query are dropped, so tests
-    patch it in to show that they catch such a table."""
-    starts, _ = reach_table(intervals, qes, gap_reach)
+    serve as a stepping stone, whatever the stones passed. As the table of
+    query row pruning it is too tight: a chain that bridges a long gap
+    through other intervals is missed, and rows that can still reach the
+    query are dropped, so tests patch it in to show that they catch such a
+    table."""
+    starts, _ = reach_table(intervals, qes, gap_reach, *stone_rule)
     size = len(intervals) + 1
     columns = [[-math.inf] * size]
     for k in range(len(qes) - 1, -1, -1):

@@ -26,6 +26,7 @@ from tirpmine import miner
 from tirpmine.database import make_sequence
 from tirpmine.miner import MODES, _mine_stream
 from tirpmine.oracle import enumerate_all, target_filter
+from tirpmine.vertical import Scan, reach_table
 
 from conftest import (
     EXAMPLE_CONSTRAINTS,
@@ -408,10 +409,9 @@ def test_thread_count_does_not_change_output(example_db, example_cfg):
 # matrix holding pairs with infrequent query events. A change to the matrix
 # or to the search that shifts a single prune decision shows here; so does
 # a row at its sequence's last position that counts a cut window. At
-# min_dura 8 the seed screen of mine and tatirp12r keeps as a join candidate
-# every event ``event_support`` counts as frequent, although min_dura leaves
-# some too few seeds; their joins find nothing, as a join refuses a short
-# interval.
+# min_dura 8 the seed screen of mine and tatirp12r grows no seed: a chain
+# to event 1 steps only on intervals that last at least min_dura, as a hit
+# must, and no event keeps enough live seeds, so neither joins at all.
 PINNED_DB = GeneratorParams(num_sequences=50, intervals_per_sequence=10, alphabet_size=12,
                             max_time=60, max_duration=8, seed=2)
 PINNED_WORK = {
@@ -425,8 +425,8 @@ PINNED_WORK = {
                       "mine": (1, 36, 0, 0, 20)},
     (("1",), 8): {"fasttirp": (7, 21, 0, 28, 0), "fasttirp-post": (0, 21, 0, 28, 0),
                   "tatirp1": (0, 0, 0, 4, 0), "tatirp2": (0, 11, 3, 17, 0),
-                  "tatirp12": (0, 0, 1, 2, 0), "tatirp12r": (0, 2, 0, 9, 4),
-                  "mine": (0, 11, 0, 0, 4)},
+                  "tatirp12": (0, 0, 1, 2, 0), "tatirp12r": (0, 0, 0, 0, 10),
+                  "mine": (0, 0, 0, 0, 10)},
 }
 
 
@@ -481,4 +481,41 @@ def test_query_row_pruning_without_stepping_stones_misses_patterns(monkeypatch):
     joins, and with them patterns or supporting sequences, which the
     oracle check above catches."""
     monkeypatch.setattr("tirpmine.vertical.reach_table", stoneless_reach)
+    assert _oracle_misses(range(40)) > 0
+
+
+@pytest.mark.parametrize("text, c", [
+    # X bridges A to Z within max_gap 3, but only sequence 1 holds an X.
+    ("1|A,0,2 X,4,6 Z,8,9\n2|A,0,2 Z,4,5\n3|A,0,2 Z,4,5\n", Constraints(max_gap=3)),
+    # X is frequent, but the one that bridges is shorter than min_dura.
+    ("1|A,0,2 X,4,4 Z,7,9\n2|A,0,2 X,3,3 Z,4,5\n3|A,0,2 X,3,3 Z,4,5\n",
+     Constraints(max_gap=3, min_dura=1)),
+], ids=["infrequent", "too-short"])
+def test_query_row_pruning_steps_only_on_intervals_the_search_can_append(text, c):
+    """Sequence 1's A reaches Z only through an X the search never appends:
+    an infrequent event's interval, or one shorter than min_dura. The chain
+    may not step on it, so the seed screen drops that A row, counted in
+    ``pruned_uqrp``; a scan with any interval as a stone keeps it. The
+    output is the oracle's all the same."""
+    db = parse_database(text)
+    stones = {e for e, count in db.event_support.items() if count >= 2}
+    screened = build_singleton_vdbs(db, c, 2, Scan(db, c, 2, ("A", "Z"), stones))
+    assert screened["A"].supporting_sids() == [2, 3]
+    assert build_singleton_vdbs(db, c, 2, Scan(db, c, 2, ("A", "Z")))["A"].supporting_sids() \
+        == [1, 2, 3]
+    cfg = MiningConfig(min_sup=2 / 3, constraints=c)
+    results, stats = mine(db, ("A", "Z"), cfg)
+    assert stats.pruned_uqrp == 1
+    assert {r.events: (r.vsup, r.supporting_sids) for r in results} \
+        == target_filter(enumerate_all(db, c, 3, 2), ("A", "Z")) == {("A", "Z"): (2, (2, 3))}
+
+
+def test_query_row_pruning_short_of_a_frequent_stone_misses_patterns(monkeypatch):
+    """Stones that lack one event frequent in the mined database drop rows
+    that reach the query through that event's intervals, and with them
+    patterns or supporting sequences, which the oracle check catches."""
+    def short_of_one(intervals, qes, gap_reach, stones, *bounds):
+        return reach_table(intervals, qes, gap_reach, set(sorted(stones)[1:]), *bounds)
+
+    monkeypatch.setattr("tirpmine.vertical.reach_table", short_of_one)
     assert _oracle_misses(range(40)) > 0

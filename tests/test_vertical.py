@@ -461,13 +461,16 @@ def test_query_reach_builds_a_sequence_table_once():
     assert len(scan) == 2
 
 
-def _chain_reaches(intervals, index, end, rest, gap_reach) -> bool:
+def _chain_reaches(intervals, index, end, rest, gap_reach, stones=None, min_dura=0,
+                   max_dura=math.inf) -> bool:
     """Whether ``rest`` embeds in a chain of steps through
     ``intervals[index:]`` from an envelope ending at ``end``, by brute
     force: every later interval that starts within ``gap_reach`` of the
     envelope's end is tried, as the next event of ``rest`` when it is one
-    and as a stepping stone either way, and the step moves the end to the
-    greater of the two."""
+    and as a stepping stone when it is a stone, and the step moves the end
+    to the greater of the two. With ``stones`` None every interval is a
+    stone; otherwise an interval of an event in ``stones`` that lasts
+    ``min_dura`` to ``max_dura`` is."""
     todo, done = [(index, end, 0)], set()
     while todo:
         state = todo.pop()
@@ -480,7 +483,8 @@ def _chain_reaches(intervals, index, end, rest, gap_reach) -> bool:
         for nxt in range(index, len(intervals)):
             start, stop, event = intervals[nxt]
             if start - end <= gap_reach:
-                todo.append((nxt + 1, max(end, stop), matched))
+                if stones is None or event in stones and min_dura <= stop - start <= max_dura:
+                    todo.append((nxt + 1, max(end, stop), matched))
                 if event == rest[matched]:
                     todo.append((nxt + 1, max(end, stop), matched + 1))
     return False
@@ -530,25 +534,77 @@ def test_least_ends_is_the_least_end_a_chain_reaches_the_rest_from(seed):
                         assert not _chain_reaches(intervals, i, least - 1, qes[k:], reach)
 
 
+def _frequent(db, threshold) -> set:
+    """The stones ``_mine_stream`` passes to its ``Scan``: the events that
+    ``event_support`` puts in at least ``threshold`` sequences."""
+    return {e for e, count in db.event_support.items() if count >= threshold}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_reach_steps_only_on_stones_within_the_duration_bounds(seed):
+    """Given stones and duration bounds, the reach table keeps its bounds,
+    which only query events set, and a chain from a finite entry of a
+    column reaches its rest of the query through query events and stones
+    alone, and none from one unit less; an infinite entry is reached from
+    no end. Unbounded, the table is the one without stones. At epsilon 0
+    to 2, with an event D outside every query."""
+    rng = random.Random(seed)
+    epsilon = seed % 3
+    stoned = 0
+    for _ in range(8):
+        seq = make_sequence(1, {(s, s + rng.randint(0, 6), rng.choice("ABCD"))
+                                for s in (rng.randrange(40) for _ in range(rng.randint(0, 12)))},
+                            epsilon)
+        intervals = seq.intervals
+        qes = tuple(rng.choice("ABC") for _ in range(rng.randint(1, 3)))
+        stones = set(rng.sample("ABCD", rng.randint(0, 4)))
+        min_dura = rng.randint(0, 3)
+        max_dura = rng.choice([math.inf, rng.randint(min_dura, 6)])
+        rule = (stones, min_dura, max_dura)
+        for max_gap in (rng.randint(0, 8), None):
+            reach = _gap_reach(Constraints(epsilon=epsilon, max_gap=max_gap))
+            starts, columns = reach_table(intervals, qes, reach, *rule)
+            anyway = reach_table(intervals, qes, reach)
+            assert starts == anyway[0]
+            if max_gap is None:
+                assert columns == anyway[1]
+            stoned += columns != anyway[1]
+            for k, column in enumerate(columns[:-1]):
+                for i, least in enumerate(column):
+                    if math.isinf(least):
+                        end = 10 ** 6 if least > 0 else -10 ** 6
+                        assert _chain_reaches(
+                            intervals, i, end, qes[k:], reach, *rule) == (least < 0), (k, i)
+                    else:
+                        assert _chain_reaches(intervals, i, least, qes[k:], reach, *rule)
+                        assert not _chain_reaches(intervals, i, least - 1, qes[k:], reach, *rule)
+    assert stoned > 0, 'stones changed no column'
+
+
 def _reach_mismatches(seeds):
     """Run ``extend_prefix`` with a query's ``Scan`` against the full join
     filtered by ``_chain_reaches`` and return (cases that differ, cases
-    whose rows the filter changed, total ``scan.pruned``).
+    whose rows the filter changed, total ``scan.pruned``, cases whose rows
+    the stones changed).
 
     The expected rows of a candidate are those of ``extend_vdb`` from whose
     envelope end a chain of steps within ``max(max_gap, epsilon)`` of it,
     through the intervals after the row's eid, still holds the rest of the
     query, after the candidate has matched its query event if it is the
-    next one; with no gap bound, any embedding after the row's eid does. The
-    candidates returned are those with at least ``threshold`` sequences
-    left. Prefixes are singletons and the full joins of two events, at
-    epsilon 0 to 2, with queries of one to three events."""
-    mismatches = filtered = pruned = 0
+    next one; with no gap bound, any embedding after the row's eid does.
+    Each threshold runs twice: with any interval as a stone, and with the
+    stones ``_mine_stream`` would pass, the events frequent by
+    ``event_support`` within the duration bounds. The candidates returned
+    are those with at least ``threshold`` sequences left. Prefixes are
+    singletons and the full joins of two events, at epsilon 0 to 2, with
+    queries of one to three events."""
+    mismatches = filtered = pruned = stoned = 0
     for seed in seeds:
         db, c, min_sup, qes = random_trial(seed, epsilon=seed % 3)
         rng = random.Random(seed)
         sequences = db.sequence_by_sid
         reach = _gap_reach(c)
+        dura = (c.min_dura, math.inf if c.max_dura is None else c.max_dura)
         singletons = build_singleton_vdbs(db, c)
         events = sorted(singletons)
         if not events:
@@ -565,34 +621,48 @@ def _reach_mismatches(seeds):
                     if match < len(query) and e == query[match]:
                         match += 1
                 candidates = rng.sample(events, rng.randint(1, len(events)))
-                expected = {}
-                for e in candidates:
-                    after = match + (match < len(query) and e == query[match])
-                    full = extend_vdb(prefix, e, singletons[e], c).by_sid
-                    kept = {sid: [r for r in rows if _chain_reaches(
-                                sequences[sid].intervals, r[1], r[3], query[after:], reach)]
-                            for sid, rows in full.items()}
-                    kept = {sid: rows for sid, rows in kept.items() if rows}
-                    filtered += kept != full
-                    expected[e] = kept
-                supports = {len(v) for v in expected.values()}
+
+                def expect(stones):
+                    nonlocal filtered
+                    expected = {}
+                    rule = () if stones is None else (stones, *dura)
+                    for e in candidates:
+                        after = match + (match < len(query) and e == query[match])
+                        full = extend_vdb(prefix, e, singletons[e], c).by_sid
+                        kept = {sid: [r for r in rows if _chain_reaches(
+                                    sequences[sid].intervals, r[1], r[3], query[after:], reach,
+                                    *rule)]
+                                for sid, rows in full.items()}
+                        kept = {sid: rows for sid, rows in kept.items() if rows}
+                        filtered += kept != full
+                        expected[e] = kept
+                    return expected
+
+                expected_by = {None: expect(None)}
+                supports = {len(v) for v in expected_by[None].values()}
                 for t in sorted({1, min_sup * len(db)} | supports | {v + 1 for v in supports}):
                     if t < 1:
                         continue
-                    scan = Scan(db, c, t, query)
-                    joined = extend_prefix(prefix, candidates, scan, match)
-                    got = {e: list(v.by_sid.items()) for e, v in joined.items()}
-                    want = {e: _unlabelled(v) for e, v in expected.items() if len(v) >= t}
-                    mismatches += got != want
-                    pruned += scan.pruned
-    return mismatches, filtered, pruned
+                    frequent = frozenset(_frequent(db, t))
+                    for stones in (None, frequent):
+                        if stones not in expected_by:
+                            expected_by[stones] = expect(stones)
+                            stoned += expected_by[stones] != expected_by[None]
+                        scan = Scan(db, c, t, query, stones)
+                        joined = extend_prefix(prefix, candidates, scan, match)
+                        got = {e: list(v.by_sid.items()) for e, v in joined.items()}
+                        want = {e: _unlabelled(v) for e, v in expected_by[stones].items()
+                                if len(v) >= t}
+                        mismatches += got != want
+                        pruned += scan.pruned
+    return mismatches, filtered, pruned, stoned
 
 
 def test_extend_prefix_with_reach_keeps_the_rows_that_reach_the_query():
-    mismatches, filtered, pruned = _reach_mismatches(range(60))
+    mismatches, filtered, pruned, stoned = _reach_mismatches(range(60))
     assert mismatches == 0
-    # The bound dropped rows, and counted its work.
-    assert filtered > 0 and pruned > 0
+    # The bound dropped rows, and counted its work; the stones dropped more.
+    assert filtered > 0 and pruned > 0 and stoned > 0
 
 
 def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
@@ -601,7 +671,7 @@ def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
     rest of the query, and so drops rows that still reach it: the check
     above fails."""
     monkeypatch.setattr("tirpmine.vertical.reach_table", earliest_reach)
-    mismatches, _, _ = _reach_mismatches(range(60))
+    mismatches, _, _, _ = _reach_mismatches(range(60))
     assert mismatches > 0
 
 
@@ -610,7 +680,7 @@ def test_reach_without_stepping_stones_drops_rows_it_must_keep(monkeypatch):
     chains that bridge a gap through other intervals: the check above
     fails."""
     monkeypatch.setattr("tirpmine.vertical.reach_table", stoneless_reach)
-    mismatches, _, _ = _reach_mismatches(range(60))
+    mismatches, _, _, _ = _reach_mismatches(range(60))
     assert mismatches > 0
 
 
@@ -659,47 +729,64 @@ def test_the_seed_screen_builds_the_live_rows():
     have one, and none otherwise; the query's event when it is the whole
     query keeps all its rows. At threshold 1, ``scan.pruned`` is the number
     of rows left out at or before the query's latest start, past which the
-    pass reads nothing. At epsilon 0 to 2, queries of one to three events."""
-    emptied = kept = 0
+    pass reads nothing. Each threshold runs with any interval as a stone
+    and with the stones ``_mine_stream`` would pass. At epsilon 0 to 2,
+    queries of one to three events."""
+    emptied = kept = stoned = 0
     for seed in range(60):
         db, c, min_sup, qes = random_trial(seed, epsilon=seed % 3)
         rng = random.Random(seed)
         reach = _gap_reach(c)
+        dura = (c.min_dura, math.inf if c.max_dura is None else c.max_dura)
         full = build_singleton_vdbs(db, c)
         queries = [qes] + [tuple(rng.choice(db.alphabet) for _ in range(rng.randint(1, 3)))
                            for _ in range(2)]
         for query in queries:
-            live = {}
-            for e, v in full.items():
-                rest = query[int(e == query[0]):]
-                rows = {sid: [r for r in rows if _chain_reaches(
-                            db.sequence_by_sid[sid].intervals, r[1], r[3], rest, reach)]
-                        for sid, rows in v.by_sid.items()}
-                live[e] = {sid: rows for sid, rows in rows.items() if rows}
-            dead = sum(r[1] <= reach_table(db.sequence_by_sid[sid].intervals, query, reach)[0][0]
-                       and r not in live[e].get(sid, ())
-                       for e, v in full.items() for sid, rows in v.by_sid.items() for r in rows)
-            supports = {len(v) for v in live.values()}
+
+            def live_and_dead(stones):
+                rule = () if stones is None else (stones, *dura)
+                live = {}
+                for e, v in full.items():
+                    rest = query[int(e == query[0]):]
+                    rows = {sid: [r for r in rows if _chain_reaches(
+                                db.sequence_by_sid[sid].intervals, r[1], r[3], rest, reach, *rule)]
+                            for sid, rows in v.by_sid.items()}
+                    live[e] = {sid: rows for sid, rows in rows.items() if rows}
+                dead = sum(
+                    r[1] <= reach_table(db.sequence_by_sid[sid].intervals, query, reach)[0][0]
+                    and r not in live[e].get(sid, ())
+                    for e, v in full.items() for sid, rows in v.by_sid.items() for r in rows)
+                return live, dead
+
+            by_stones = {None: live_and_dead(None)}
+            supports = {len(v) for v in by_stones[None][0].values()}
             for t in sorted({1, min_sup * len(db)} | supports | {v + 1 for v in supports}):
                 if t < 1:
                     continue
-                scan = Scan(db, c, t, query)
-                screened = build_singleton_vdbs(db, c, t, scan)
-                assert screened.keys() == _screened_keys(db, c, t, query)
-                for e, v in screened.items():
-                    want = live.get(e, {})
-                    want = want if len(want) >= t else {}
-                    assert v.events == (e,) and v.by_sid == want
-                    emptied += not want
-                    kept += bool(want) and want != full[e].by_sid
-                if t == 1:
-                    assert scan.pruned == dead
-                # A reach table is built only when some event is screened.
-                own = query[0] if len(query) == 1 else None
-                assert not scan or any(count >= t for e, count in db.event_support.items()
-                                       if e != own)
-    # Some frequent event was left with no seed, and some seed lost rows.
-    assert emptied > 0 and kept > 0
+                frequent = frozenset(_frequent(db, t))
+                for stones in (None, frequent):
+                    if stones not in by_stones:
+                        by_stones[stones] = live_and_dead(stones)
+                        stoned += by_stones[stones][0] != by_stones[None][0]
+                    live, dead = by_stones[stones]
+                    scan = Scan(db, c, t, query, stones)
+                    screened = build_singleton_vdbs(db, c, t, scan)
+                    assert screened.keys() == _screened_keys(db, c, t, query)
+                    for e, v in screened.items():
+                        want = live.get(e, {})
+                        want = want if len(want) >= t else {}
+                        assert v.events == (e,) and v.by_sid == want
+                        emptied += not want
+                        kept += bool(want) and want != full[e].by_sid
+                    if t == 1:
+                        assert scan.pruned == dead
+                    # A reach table is built only when some event is screened.
+                    own = query[0] if len(query) == 1 else None
+                    assert not scan or any(count >= t for e, count in db.event_support.items()
+                                           if e != own)
+    # Some frequent event was left with no seed, some seed lost rows, and
+    # the stones left some seed fewer live rows.
+    assert emptied > 0 and kept > 0 and stoned > 0
 
 
 class _Unread(tuple):
