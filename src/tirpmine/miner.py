@@ -239,10 +239,9 @@ def _mine_stream(db: Database, qes, cfg: MiningConfig):
     search_qes = qes if targeted else ()
     flags = cfg.strategies
     # The scan reads mine()'s own db, whose sid index outlives the query.
-    # Its chains step only on intervals of events frequent in the working
-    # database, the singleton pass's superset of every join candidate.
-    stones = {e for e, count in working.event_support.items() if count >= threshold}
-    scan = Scan(db, c, threshold, search_qes if flags.uqrp else (), stones)
+    # The singleton pass sets its stones to the working database's events
+    # that may be join candidates.
+    scan = Scan(db, c, threshold, search_qes if flags.uqrp else ())
     singletons = build_singleton_vdbs(working, c, threshold, scan)
     sf = sorted(singletons)
     # The search reads the matrix only at (frequent, frequent) and

@@ -135,8 +135,15 @@ def build_singleton_vdbs(db: Database, c: Constraints, threshold: float = 0,
     no screened event can reach ``threshold`` live sequences. Every screened
     event that ``event_support`` puts in ``threshold`` sequences keys a
     database, as a join candidate, empty when it has too few live ones.
-    ``scan.pruned`` grows by the screened rows the test drops."""
+    ``scan.pruned`` grows by the screened rows the test drops.
+
+    Given a ``scan``, the pass also sets ``scan.stones``, before it reads a
+    table, to the events ``event_support`` puts in ``threshold`` sequences:
+    they include every candidate it returns, so a search that joins only
+    these candidates appends no interval of any other event."""
     wanted = frequent = {e for e, count in db.event_support.items() if count >= threshold}
+    if scan is not None:
+        scan.stones = frequent
     min_dura = c.min_dura
     max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
     qes = scan.qes if scan is not None else ()
@@ -262,8 +269,8 @@ def extend_vdb(
     return VerticalDatabase(prefix.events + (candidate,), by_sid)
 
 
-def reach_table(intervals, qes, gap_reach, stones=None, min_dura=0,
-                max_dura=_UNBOUNDED) -> tuple[list[int], list[list]]:
+def reach_table(intervals, qes, gap_reach, stones, min_dura,
+                max_dura) -> tuple[list[int], list[list]]:
     """The reach of each rest ``qes[k:]`` of the query in ``intervals``,
     ``(start, end, event)`` triples, as ``(starts, columns)``, with a last
     entry for the empty rest.
@@ -273,15 +280,12 @@ def reach_table(intervals, qes, gap_reach, stones=None, min_dura=0,
     still be embedded through the intervals at index ``i`` or later, or
     infinity when none can. A step may take a query event, or a stone as a
     stepping stone, at a later index than the step before; it must start
-    within ``gap_reach`` of E, and it sets E to ``max(E, end)``. With
-    ``stones`` None every interval is a stone; given a set of events, a
-    stone is an interval of one of them lasting ``min_dura`` to
-    ``max_dura``, as every interval the search can append is. Stones are
+    within ``gap_reach`` of E, and it sets E to ``max(E, end)``. A stone is
+    an interval of an event in ``stones`` lasting ``min_dura`` to
+    ``max_dura``, as every interval the search can append is; stones are
     tested only where one would lower the entry. A greater E never reaches
     less, so an envelope reaches the rest exactly when its end is at least
-    the entry. The empty rest's column is minus infinity throughout; with
-    ``gap_reach`` infinite, every step is in reach, so the column is minus
-    infinity below its bound and infinity from it on, filled with no pass.
+    the entry. The empty rest's column is minus infinity throughout.
 
     ``starts[k]``, the column's bound, is the greatest position at which an
     embedding of ``qes[k:]`` can start, or 0 when there is none, and
@@ -302,6 +306,8 @@ def reach_table(intervals, qes, gap_reach, stones=None, min_dura=0,
     starts, columns = [bound], [column]
     for k in range(len(qes) - 1, -1, -1):
         q, later = qes[k], column
+        column = [_UNBOUNDED] * size
+        least = _UNBOUNDED
         # Position p is index p - 1, so the match lies below index bound - 1.
         for i in range(bound - 2, -1, -1):
             if intervals[i][2] == q:
@@ -309,24 +315,19 @@ def reach_table(intervals, qes, gap_reach, stones=None, min_dura=0,
         else:
             i = -1  # no match, or a later bound of 0 or 1: no index below it
         bound = i + 1
-        if gap_reach == _UNBOUNDED:  # every step is in reach: no stone is needed
-            column = [-_UNBOUNDED] * bound + [_UNBOUNDED] * (size - bound)
-        else:
-            column, least = [_UNBOUNDED] * size, _UNBOUNDED
-            for i in range(i, -1, -1):
-                start, end, event = intervals[i]
-                reach = start - gap_reach
-                if event == q:
-                    rest = later[i + 1]
-                    if end < rest and reach < rest:
-                        reach = rest
-                    if reach < least:
-                        least = reach
-                elif end >= least and reach < least and (
-                        stones is None
-                        or event in stones and min_dura <= end - start <= max_dura):
+        for i in range(i, -1, -1):
+            start, end, event = intervals[i]
+            reach = start - gap_reach
+            if event == q:
+                rest = later[i + 1]
+                if end < rest and reach < rest:
+                    reach = rest
+                if reach < least:
                     least = reach
-                column[i] = least
+            elif (end >= least and reach < least
+                  and event in stones and min_dura <= end - start <= max_dura):
+                least = reach
+            column[i] = least
         starts.append(bound)
         columns.append(column)
     starts.reverse()
@@ -339,24 +340,24 @@ class Scan(dict):
     once from the constraints (unset ones read as infinity; ``gap_reach`` is
     ``max(max_gap, epsilon)``, as a before step may leave a gap up to max_gap
     and any other one up to epsilon), the support ``threshold``, the query
-    ``qes`` of query row pruning, or (), its ``stones``, and ``pruned``, the
-    work it saves.
+    ``qes`` of query row pruning, or (), the ``stones`` its tables step
+    on, and ``pruned``, the work it saves.
 
     Each sid of ``db`` maps to its sequence's ``reach_table`` for ``qes``,
     ``(starts, columns)``, built by the seed screen or the first join with
     query left that reaches the sequence, and kept for the search: a row
     that has matched ``qes[:m]`` can reach the query only if ``end_t >=
     columns[m][eid]``, which holds at no ``eid`` from ``starts[m]`` on.
-    ``stones`` is None, for tables in which any interval is a stepping
-    stone, or the events the search may append: the miner passes those
-    ``event_support`` puts in ``threshold`` sequences of the database it
-    mines, a superset of every join candidate, and the table then steps
-    only on their intervals within the duration bounds, as a hit must be."""
+    A table steps only on intervals of ``stones`` within the duration
+    bounds, as a hit must be. The stones start as every event of ``db``;
+    ``build_singleton_vdbs`` narrows them to the events it may make join
+    candidates, before it reads a table."""
 
     def __init__(self, db: Database, c: Constraints, threshold: int,
-                 qes: tuple[str, ...] = (), stones: set[str] | None = None):
+                 qes: tuple[str, ...] = ()):
         self.sequences = db.sequence_by_sid
-        self.threshold, self.qes, self.stones, self.pruned = threshold, qes, stones, 0
+        self.stones = db.event_support.keys()
+        self.threshold, self.qes, self.pruned = threshold, qes, 0
         self.epsilon, self.min_gap, self.min_dura = c.epsilon, c.min_gap, c.min_dura
         self.max_gap = _UNBOUNDED if c.max_gap is None else c.max_gap
         self.max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
@@ -414,11 +415,11 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
     for any other event: no chain of extensions, each starting within
     ``gap_reach`` of the envelope's end, carries such a row to the rest of
     the query. With no gap bound, that is a hit after which the sequence no
-    longer holds the rest. The table steps only on ``scan.stones``, which
-    hold every interval the search can append, and ignores every other
-    bound, so it drops only rows with no result below them. Since support
-    is counted over the kept hits, the early exit above drops a candidate
-    the test starves.
+    longer holds the rest. The table steps only on intervals of
+    ``scan.stones`` within the duration bounds, which include every interval
+    the search can append, and ignores every other bound, so it drops only
+    rows with no result below them. Since support is counted over the kept
+    hits, the early exit above drops a candidate the test starves.
     ``scan.pruned`` grows by the windows cut and the hits dropped inside
     them, whether or not they pass the extension rule.
 

@@ -76,13 +76,13 @@ def random_trial(seed: int, epsilon: int | None = None):
     return db, constraints, min_sup, qes
 
 
-def earliest_reach(intervals, qes, gap_reach, *stone_rule):
+def earliest_reach(intervals, qes, gap_reach, stones, min_dura, max_dura):
     """Like ``tirpmine.vertical.reach_table``, with the same stones, but the
     bound of each rest ``qes[k:]`` is where its leftmost embedding starts,
     and its column is infinite from that index on. As the table of query
     row pruning it is too tight: it drops rows that can still reach the
     query, so tests patch it in to show that they catch such a bound."""
-    _, columns = reach_table(intervals, qes, gap_reach, *stone_rule)
+    _, columns = reach_table(intervals, qes, gap_reach, stones, min_dura, max_dura)
     events = [event for _, _, event in intervals]
     starts = []
     for k in range(len(qes)):
@@ -95,7 +95,7 @@ def earliest_reach(intervals, qes, gap_reach, *stone_rule):
                     for column, bound in zip(columns, starts)]
 
 
-def stoneless_reach(intervals, qes, gap_reach, *stone_rule):
+def stoneless_reach(intervals, qes, gap_reach, stones, min_dura, max_dura):
     """Like ``tirpmine.vertical.reach_table``, but in its columns every
     step of a chain must be the next query event: no other interval may
     serve as a stepping stone, whatever the stones passed. As the table of
@@ -103,7 +103,7 @@ def stoneless_reach(intervals, qes, gap_reach, *stone_rule):
     through other intervals is missed, and rows that can still reach the
     query are dropped, so tests patch it in to show that they catch such a
     table."""
-    starts, _ = reach_table(intervals, qes, gap_reach, *stone_rule)
+    starts, _ = reach_table(intervals, qes, gap_reach, stones, min_dura, max_dura)
     size = len(intervals) + 1
     columns = [[-math.inf] * size]
     for k in range(len(qes) - 1, -1, -1):

@@ -443,7 +443,7 @@ def test_latest_starts_is_the_greatest_embedding_start(seed):
     rng = random.Random(seed)
     events = [rng.choice("ABC") for _ in range(rng.randint(0, 12))]
     qes = tuple(rng.choice("ABC") for _ in range(rng.randint(1, 4)))
-    starts, _ = reach_table([(0, 0, e) for e in events], qes, math.inf)
+    starts, _ = reach_table([(0, 0, e) for e in events], qes, math.inf, set(), 0, math.inf)
     assert len(starts) == len(qes) + 1 and starts[-1] == len(events) + 1
     for k in range(len(qes)):
         found = [pos for pos in range(1, len(events) + 1)
@@ -461,16 +461,15 @@ def test_query_reach_builds_a_sequence_table_once():
     assert len(scan) == 2
 
 
-def _chain_reaches(intervals, index, end, rest, gap_reach, stones=None, min_dura=0,
-                   max_dura=math.inf) -> bool:
+def _chain_reaches(intervals, index, end, rest, gap_reach, stones, min_dura,
+                   max_dura) -> bool:
     """Whether ``rest`` embeds in a chain of steps through
     ``intervals[index:]`` from an envelope ending at ``end``, by brute
     force: every later interval that starts within ``gap_reach`` of the
     envelope's end is tried, as the next event of ``rest`` when it is one
-    and as a stepping stone when it is a stone, and the step moves the end
-    to the greater of the two. With ``stones`` None every interval is a
-    stone; otherwise an interval of an event in ``stones`` that lasts
-    ``min_dura`` to ``max_dura`` is."""
+    and as a stepping stone when it is a stone, an interval of an event in
+    ``stones`` that lasts ``min_dura`` to ``max_dura``, and the step moves
+    the end to the greater of the two."""
     todo, done = [(index, end, 0)], set()
     while todo:
         state = todo.pop()
@@ -483,7 +482,7 @@ def _chain_reaches(intervals, index, end, rest, gap_reach, stones=None, min_dura
         for nxt in range(index, len(intervals)):
             start, stop, event = intervals[nxt]
             if start - end <= gap_reach:
-                if stones is None or event in stones and min_dura <= stop - start <= max_dura:
+                if event in stones and min_dura <= stop - start <= max_dura:
                     todo.append((nxt + 1, max(end, stop), matched))
                 if event == rest[matched]:
                     todo.append((nxt + 1, max(end, stop), matched + 1))
@@ -492,6 +491,21 @@ def _chain_reaches(intervals, index, end, rest, gap_reach, stones=None, min_dura
 
 def _gap_reach(c: Constraints) -> float:
     return math.inf if c.max_gap is None else max(c.max_gap, c.epsilon)
+
+
+def _dura(c: Constraints) -> tuple:
+    return c.min_dura, math.inf if c.max_dura is None else c.max_dura
+
+
+def _every_stone(intervals) -> tuple:
+    """The stone rule under which every one of ``intervals`` is a stone."""
+    return {event for _, _, event in intervals}, 0, math.inf
+
+
+def _latest_start(intervals, qes) -> int:
+    """The query's latest start, the first bound of the reach table, which
+    neither the gap bound nor the stones move."""
+    return reach_table(intervals, qes, math.inf, set(), 0, math.inf)[0][0]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -513,9 +527,10 @@ def test_least_ends_is_the_least_end_a_chain_reaches_the_rest_from(seed):
         events = [event for _, _, event in intervals]
         size = len(intervals) + 1
         qes = tuple(rng.choice("ABC") for _ in range(rng.randint(1, 4)))
+        rule = _every_stone(intervals)
         for max_gap in (rng.randint(0, 8), None):
             reach = _gap_reach(Constraints(epsilon=epsilon, max_gap=max_gap))
-            starts, columns = reach_table(intervals, qes, reach)
+            starts, columns = reach_table(intervals, qes, reach, *rule)
             assert len(starts) == len(columns) == len(qes) + 1
             assert starts[-1] == size and columns[-1] == [-math.inf] * size
             for k, column in enumerate(columns[:-1]):
@@ -528,16 +543,18 @@ def test_least_ends_is_the_least_end_a_chain_reaches_the_rest_from(seed):
                         assert least == (-math.inf if i < starts[k] else math.inf), (k, i)
                     if math.isinf(least):
                         end = 10 ** 6 if least > 0 else -10 ** 6
-                        assert _chain_reaches(intervals, i, end, qes[k:], reach) == (least < 0)
+                        assert _chain_reaches(
+                            intervals, i, end, qes[k:], reach, *rule) == (least < 0)
                     else:
-                        assert _chain_reaches(intervals, i, least, qes[k:], reach)
-                        assert not _chain_reaches(intervals, i, least - 1, qes[k:], reach)
+                        assert _chain_reaches(intervals, i, least, qes[k:], reach, *rule)
+                        assert not _chain_reaches(intervals, i, least - 1, qes[k:], reach, *rule)
 
 
-def _frequent(db, threshold) -> set:
-    """The stones ``_mine_stream`` passes to its ``Scan``: the events that
-    ``event_support`` puts in at least ``threshold`` sequences."""
-    return {e for e, count in db.event_support.items() if count >= threshold}
+def _pass_stones(db, c, threshold) -> frozenset:
+    """The stones the singleton pass sets on the miner's ``Scan``."""
+    scan = Scan(db, c, threshold)
+    build_singleton_vdbs(db, c, threshold, scan)
+    return frozenset(scan.stones)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -546,8 +563,8 @@ def test_reach_steps_only_on_stones_within_the_duration_bounds(seed):
     which only query events set, and a chain from a finite entry of a
     column reaches its rest of the query through query events and stones
     alone, and none from one unit less; an infinite entry is reached from
-    no end. Unbounded, the table is the one without stones. At epsilon 0
-    to 2, with an event D outside every query."""
+    no end. Unbounded, the table is the one in which every interval is a
+    stone. At epsilon 0 to 2, with an event D outside every query."""
     rng = random.Random(seed)
     epsilon = seed % 3
     stoned = 0
@@ -564,7 +581,7 @@ def test_reach_steps_only_on_stones_within_the_duration_bounds(seed):
         for max_gap in (rng.randint(0, 8), None):
             reach = _gap_reach(Constraints(epsilon=epsilon, max_gap=max_gap))
             starts, columns = reach_table(intervals, qes, reach, *rule)
-            anyway = reach_table(intervals, qes, reach)
+            anyway = reach_table(intervals, qes, reach, set("ABCD"), 0, math.inf)
             assert starts == anyway[0]
             if max_gap is None:
                 assert columns == anyway[1]
@@ -592,10 +609,10 @@ def _reach_mismatches(seeds):
     through the intervals after the row's eid, still holds the rest of the
     query, after the candidate has matched its query event if it is the
     next one; with no gap bound, any embedding after the row's eid does.
-    Each threshold runs twice: with any interval as a stone, and with the
-    stones ``_mine_stream`` would pass, the events frequent by
-    ``event_support`` within the duration bounds. The candidates returned
-    are those with at least ``threshold`` sequences left. Prefixes are
+    Stones lie within the duration bounds. Each threshold runs twice: with
+    a new scan's stones, every event of the database, and with those the
+    singleton pass sets for the miner. The candidates returned are those
+    with at least ``threshold`` sequences left. Prefixes are
     singletons and the full joins of two events, at epsilon 0 to 2, with
     queries of one to three events."""
     mismatches = filtered = pruned = stoned = 0
@@ -604,7 +621,7 @@ def _reach_mismatches(seeds):
         rng = random.Random(seed)
         sequences = db.sequence_by_sid
         reach = _gap_reach(c)
-        dura = (c.min_dura, math.inf if c.max_dura is None else c.max_dura)
+        every = frozenset(db.alphabet)
         singletons = build_singleton_vdbs(db, c)
         events = sorted(singletons)
         if not events:
@@ -625,30 +642,29 @@ def _reach_mismatches(seeds):
                 def expect(stones):
                     nonlocal filtered
                     expected = {}
-                    rule = () if stones is None else (stones, *dura)
                     for e in candidates:
                         after = match + (match < len(query) and e == query[match])
                         full = extend_vdb(prefix, e, singletons[e], c).by_sid
                         kept = {sid: [r for r in rows if _chain_reaches(
                                     sequences[sid].intervals, r[1], r[3], query[after:], reach,
-                                    *rule)]
+                                    stones, *_dura(c))]
                                 for sid, rows in full.items()}
                         kept = {sid: rows for sid, rows in kept.items() if rows}
                         filtered += kept != full
                         expected[e] = kept
                     return expected
 
-                expected_by = {None: expect(None)}
-                supports = {len(v) for v in expected_by[None].values()}
+                expected_by = {every: expect(every)}
+                supports = {len(v) for v in expected_by[every].values()}
                 for t in sorted({1, min_sup * len(db)} | supports | {v + 1 for v in supports}):
                     if t < 1:
                         continue
-                    frequent = frozenset(_frequent(db, t))
-                    for stones in (None, frequent):
+                    for stones in (every, _pass_stones(db, c, t)):
                         if stones not in expected_by:
                             expected_by[stones] = expect(stones)
-                            stoned += expected_by[stones] != expected_by[None]
-                        scan = Scan(db, c, t, query, stones)
+                            stoned += expected_by[stones] != expected_by[every]
+                        scan = Scan(db, c, t, query)
+                        scan.stones = stones
                         joined = extend_prefix(prefix, candidates, scan, match)
                         got = {e: list(v.by_sid.items()) for e, v in joined.items()}
                         want = {e: _unlabelled(v) for e, v in expected_by[stones].items()
@@ -729,63 +745,62 @@ def test_the_seed_screen_builds_the_live_rows():
     have one, and none otherwise; the query's event when it is the whole
     query keeps all its rows. At threshold 1, ``scan.pruned`` is the number
     of rows left out at or before the query's latest start, past which the
-    pass reads nothing. Each threshold runs with any interval as a stone
-    and with the stones ``_mine_stream`` would pass. At epsilon 0 to 2,
-    queries of one to three events."""
+    pass reads nothing. The chains step on the stones the pass sets, which
+    include every event it keys, within the duration bounds. At epsilon 0
+    to 2, queries of one to three events."""
     emptied = kept = stoned = 0
     for seed in range(60):
         db, c, min_sup, qes = random_trial(seed, epsilon=seed % 3)
         rng = random.Random(seed)
         reach = _gap_reach(c)
-        dura = (c.min_dura, math.inf if c.max_dura is None else c.max_dura)
+        every = frozenset(db.alphabet)
         full = build_singleton_vdbs(db, c)
         queries = [qes] + [tuple(rng.choice(db.alphabet) for _ in range(rng.randint(1, 3)))
                            for _ in range(2)]
         for query in queries:
 
             def live_and_dead(stones):
-                rule = () if stones is None else (stones, *dura)
                 live = {}
                 for e, v in full.items():
                     rest = query[int(e == query[0]):]
                     rows = {sid: [r for r in rows if _chain_reaches(
-                                db.sequence_by_sid[sid].intervals, r[1], r[3], rest, reach, *rule)]
+                                db.sequence_by_sid[sid].intervals, r[1], r[3], rest, reach,
+                                stones, *_dura(c))]
                             for sid, rows in v.by_sid.items()}
                     live[e] = {sid: rows for sid, rows in rows.items() if rows}
-                dead = sum(
-                    r[1] <= reach_table(db.sequence_by_sid[sid].intervals, query, reach)[0][0]
-                    and r not in live[e].get(sid, ())
-                    for e, v in full.items() for sid, rows in v.by_sid.items() for r in rows)
+                dead = sum(r[1] <= _latest_start(db.sequence_by_sid[sid].intervals, query)
+                           and r not in live[e].get(sid, ())
+                           for e, v in full.items() for sid, rows in v.by_sid.items() for r in rows)
                 return live, dead
 
-            by_stones = {None: live_and_dead(None)}
-            supports = {len(v) for v in by_stones[None][0].values()}
+            by_stones = {every: live_and_dead(every)}
+            supports = {len(v) for v in by_stones[every][0].values()}
             for t in sorted({1, min_sup * len(db)} | supports | {v + 1 for v in supports}):
                 if t < 1:
                     continue
-                frequent = frozenset(_frequent(db, t))
-                for stones in (None, frequent):
-                    if stones not in by_stones:
-                        by_stones[stones] = live_and_dead(stones)
-                        stoned += by_stones[stones][0] != by_stones[None][0]
-                    live, dead = by_stones[stones]
-                    scan = Scan(db, c, t, query, stones)
-                    screened = build_singleton_vdbs(db, c, t, scan)
-                    assert screened.keys() == _screened_keys(db, c, t, query)
-                    for e, v in screened.items():
-                        want = live.get(e, {})
-                        want = want if len(want) >= t else {}
-                        assert v.events == (e,) and v.by_sid == want
-                        emptied += not want
-                        kept += bool(want) and want != full[e].by_sid
-                    if t == 1:
-                        assert scan.pruned == dead
-                    # A reach table is built only when some event is screened.
-                    own = query[0] if len(query) == 1 else None
-                    assert not scan or any(count >= t for e, count in db.event_support.items()
-                                           if e != own)
+                scan = Scan(db, c, t, query)
+                screened = build_singleton_vdbs(db, c, t, scan)
+                assert screened.keys() == _screened_keys(db, c, t, query)
+                stones = frozenset(scan.stones)
+                assert stones >= screened.keys()
+                if stones not in by_stones:
+                    by_stones[stones] = live_and_dead(stones)
+                    stoned += by_stones[stones][0] != by_stones[every][0]
+                live, dead = by_stones[stones]
+                for e, v in screened.items():
+                    want = live.get(e, {})
+                    want = want if len(want) >= t else {}
+                    assert v.events == (e,) and v.by_sid == want
+                    emptied += not want
+                    kept += bool(want) and want != full[e].by_sid
+                if t == 1:
+                    assert scan.pruned == dead
+                # A reach table is built only when some event is screened.
+                own = query[0] if len(query) == 1 else None
+                assert not scan or any(count >= t for e, count in db.event_support.items()
+                                       if e != own)
     # Some frequent event was left with no seed, some seed lost rows, and
-    # the stones left some seed fewer live rows.
+    # the stones left some seed fewer live rows than every event's would.
     assert emptied > 0 and kept > 0 and stoned > 0
 
 
@@ -813,7 +828,7 @@ def test_the_seed_screen_reads_no_interval_past_the_querys_latest_start():
                    (("A",), Constraints(max_gap=1))):
         cut = Database(tuple(
             TimeIntervalSequence(seq.sid, tuple(
-                iv if pos <= reach_table(seq.intervals, qes, math.inf)[0][0] else _Unread(iv)
+                iv if pos <= _latest_start(seq.intervals, qes) else _Unread(iv)
                 for pos, iv in enumerate(seq.intervals, start=1)))
             for seq in plain.sequences))
         vars(cut)["event_support"] = plain.event_support  # read without unpacking
@@ -990,7 +1005,7 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
             for seq in restricted.sequences:
                 assert whole.sequences[seq.sid] is seq is own.sequences[seq.sid]
                 assert whole[seq.sid] == own[seq.sid] == reach_table(
-                    seq.intervals, qes, _gap_reach(c))
+                    seq.intervals, qes, _gap_reach(c), set(db.alphabet), *_dura(c))
             for prefix in singletons.values():
                 want = {e: _unlabelled(ext.by_sid) for e in events
                         if (ext := extend_vdb(prefix, e, singletons[e], c)).vertical_support() >= t}
