@@ -160,6 +160,9 @@ def _format_stats(stats) -> str:
 
 
 def _cmd_mine(args) -> int:
+    for flag, path in (("--input", args.input), ("--output", args.output)):
+        if args.stats and path and os.path.realpath(args.stats) == os.path.realpath(path):
+            raise ValueError(f"--stats names the same file as {flag}, which it would overwrite")
     qes = _parse_qes(args, required=args.mode != MODE_FULL)
     flags = StrategyFlags(usfp=not args.no_usfp)
     cfg = _config(args, strategies=flags, mode=args.mode)

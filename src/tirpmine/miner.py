@@ -238,9 +238,8 @@ def _mine_stream(db: Database, qes, cfg: MiningConfig):
     c = cfg.constraints
     search_qes = qes if targeted else ()
     flags = cfg.strategies
-    # The scan reads mine()'s own db, whose sid index outlives the query.
-    # The singleton pass sets its stones to the working database's events
-    # that may be join candidates.
+    # The scan reads mine()'s own db, whose sid index outlives the query;
+    # the singleton pass sets its stones.
     scan = Scan(db, c, threshold, search_qes if flags.uqrp else ())
     singletons = build_singleton_vdbs(working, c, threshold, scan)
     sf = sorted(singletons)

@@ -5,17 +5,17 @@ A vertical database holds one pattern's rows grouped by sequence id,
 is its number of keys. Singleton lists are in ascending ``eid`` order.
 
 A row records one embedding of a pattern in one sequence as a plain tuple
-``(sid, eid, start_t, end_t, relation, prefix)``: positions are 1-based,
-``eid`` is the position of the last source interval, and ``start_t``/``end_t``
-are the composite envelope. An extended row keeps a link to the prefix row
-it extends, so a new row costs O(1) at any depth. Only ``extend_vdb``
-records the relation of a row's last step; the search's rows, from
-``extend_prefix``, hold None there, since no result reads it.
+``(eid, start_t, end_t, relation, prefix)``, kept under the sequence's sid:
+positions are 1-based, ``eid`` is the position of the last source interval,
+and ``start_t``/``end_t`` are the composite envelope. An extended row keeps
+a link to the prefix row it extends, so a new row costs O(1) at any depth.
+Only ``extend_vdb`` records the relation of a row's last step; the search's
+rows, from ``extend_prefix``, hold None there, since no result reads it.
 ``VerticalDatabase.rows`` returns the rows as ``PatternOccurrence``s, the
-named type with the same fields, whose source positions, and relations
-where recorded, are read back through the links. A later change that keys
-patterns by their relations, as the paper's TIRPs are, would have to group
-rows by relation and classify each step again.
+named type of the sid and a row's fields, whose source positions, and
+relations where recorded, are read back through the links. A later change
+that keys patterns by their relations, as the paper's TIRPs are, would
+have to group rows by relation and classify each step again.
 
 A prefix is grown by all its candidate events at once: ``extend_prefix``
 scans each prefix row's own sequence over the intervals the row can reach,
@@ -50,7 +50,7 @@ from .database import Database
 
 
 class PatternOccurrence(NamedTuple):
-    """A row with named fields; its prefix link is a plain row."""
+    """A row with named fields, its sid first; its prefix is a stored row."""
     sid: int
     eid: int
     start_t: int
@@ -61,30 +61,30 @@ class PatternOccurrence(NamedTuple):
     prefix: tuple | None = None
 
     def _chain(self) -> list[tuple]:
-        """This occurrence and its prefix rows, last step first."""
-        chain = [self]
-        while chain[-1][5] is not None:
-            chain.append(chain[-1][5])
+        """This occurrence's stored row and its prefix rows, last step first."""
+        chain = [self[1:]]
+        while chain[-1][4] is not None:
+            chain.append(chain[-1][4])
         return chain
 
     @property
     def relations(self) -> tuple[str, ...]:
-        return tuple(r[4] for r in reversed(self._chain()[:-1]))
+        return tuple(r[3] for r in reversed(self._chain()[:-1]))
 
     @property
     def sources(self) -> tuple[int, ...]:
-        return tuple(r[1] for r in reversed(self._chain()))
+        return tuple(r[0] for r in reversed(self._chain()))
 
 
 @dataclass
 class VerticalDatabase:
     events: tuple[str, ...]
-    by_sid: dict[int, list[tuple]]  # rows in PatternOccurrence's field order
+    by_sid: dict[int, list[tuple]]  # PatternOccurrence's fields after the sid
 
     @property
     def rows(self) -> list[PatternOccurrence]:
         """All rows as occurrences, grouped by sequence in insertion order."""
-        return [PatternOccurrence._make(r) for rows in self.by_sid.values() for r in rows]
+        return [PatternOccurrence(sid, *r) for sid, rows in self.by_sid.items() for r in rows]
 
     def vertical_support(self) -> int:
         return len(self.by_sid)
@@ -112,7 +112,7 @@ class PairSupportMatrix:
         return len(self._entries)
 
 
-def build_singleton_vdbs(db: Database, c: Constraints, threshold: float = 0,
+def build_singleton_vdbs(db: Database, c: Constraints, threshold: int = 0,
                          scan: Scan | None = None) -> dict[str, VerticalDatabase]:
     """One vertical database per event type with vertical support at least
     ``threshold``; intervals failing the duration bounds are dropped.
@@ -172,7 +172,7 @@ def build_singleton_vdbs(db: Database, c: Constraints, threshold: float = 0,
                 if screening and event != done and end < columns[event == first][pos]:
                     pruned += 1
                     continue
-                row = (sid, pos, start, end, None, None)
+                row = (pos, start, end, None, None)
                 by_sid = groups.get(event)
                 if by_sid is None:
                     groups[event] = by_sid = {sid: [row]}
@@ -260,10 +260,10 @@ def extend_vdb(
     """
     by_sid: dict[int, list[tuple]] = {}
     for sid, prefix_rows in prefix.by_sid.items():
-        rows = [(sid, q[1], min(r[2], q[2]), max(r[3], q[3]), rel, r)
+        rows = [(q[0], min(r[1], q[1]), max(r[2], q[2]), rel, r)
                 for r in prefix_rows for q in singleton.by_sid.get(sid, ())
-                if q[1] > r[1] and (rel := _check_extension(
-                    r[2], r[3], q[2], q[3], c)) is not None]
+                if q[0] > r[0] and (rel := _check_extension(
+                    r[1], r[2], q[1], q[2], c)) is not None]
         if rows:
             by_sid[sid] = rows
     return VerticalDatabase(prefix.events + (candidate,), by_sid)
@@ -349,14 +349,13 @@ class Scan(dict):
     that has matched ``qes[:m]`` can reach the query only if ``end_t >=
     columns[m][eid]``, which holds at no ``eid`` from ``starts[m]`` on.
     A table steps only on intervals of ``stones`` within the duration
-    bounds, as a hit must be. The stones start as every event of ``db``;
-    ``build_singleton_vdbs`` narrows them to the events it may make join
-    candidates, before it reads a table."""
+    bounds, as a hit must be. ``build_singleton_vdbs`` sets the stones, to
+    the events it may make join candidates, before it reads a table; a
+    scan has none before that pass."""
 
     def __init__(self, db: Database, c: Constraints, threshold: int,
                  qes: tuple[str, ...] = ()):
         self.sequences = db.sequence_by_sid
-        self.stones = db.event_support.keys()
         self.threshold, self.qes, self.pruned = threshold, qes, 0
         self.epsilon, self.min_gap, self.min_dura = c.epsilon, c.min_gap, c.min_dura
         self.max_gap = _UNBOUNDED if c.max_gap is None else c.max_gap
@@ -452,7 +451,7 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
         # qes[match + 1:], and then no index is, as a cap of -1 would wrap.
         cap = b_q - 1 if b_q else 0
         for r in prefix_rows:
-            _, eid, start_t, end_t, _, _ = r
+            eid, start_t, end_t, _, _ = r
             limit = end_t + gap_reach
             if start_t + max_dura < limit:
                 limit = start_t + max_dura
@@ -483,7 +482,7 @@ def extend_prefix(prefix: VerticalDatabase, candidates, scan: Scan,
                 # passed min_dura above, so only max_dura can fail it.
                 if up - lo > max_dura:
                     continue
-                hit = (sid, q_eid, lo, up, None, r)
+                hit = (q_eid, lo, up, None, r)
                 by_sid = hits.get(event)
                 if by_sid is None:
                     hits[event] = {sid: [hit]}

@@ -251,14 +251,51 @@ def test_output_that_cannot_be_opened_leaves_the_stats_path_as_it_was(tmp_path, 
     assert (stats.read_bytes() if stats.exists() else None) == before
 
 
-def test_stats_written_over_the_output_file_hold_the_stats(example_file, tmp_path):
-    _, _, stats = run_mine(example_file, tmp_path)
-    same = tmp_path / "same.txt"
-    assert main(["mine", "--input", str(example_file), *MINE_FLAGS, "--output", str(same),
-                 "--stats", str(same)]) == 0
-    lines = same.read_text().splitlines()
-    assert lines[:-1] == stats.read_text().splitlines()[:-1]
-    assert lines[-1].startswith("elapsed_ms=")
+def test_stats_over_the_output_or_input_file_is_refused(example_file, tmp_path, capsys):
+    """A ``--stats`` path naming the ``--output`` file would overwrite the
+    results, and one naming the ``--input`` file the database: either exits
+    2 with a message naming ``--stats``, before any file is opened to
+    write. Paths are compared resolved, so another spelling of the same
+    path, or a symbolic link to it, is refused too."""
+    out, link = tmp_path / "out.tsv", tmp_path / "link.db"
+    link.symlink_to(example_file)
+    new = tmp_path / "new.tsv"
+    for output, stats, kept in ((out, tmp_path / "." / "out.tsv", b"kept\n"),
+                                (new, tmp_path / ".." / tmp_path.name / "new.tsv", None),
+                                (out, link, b"kept\n")):
+        if kept is not None:
+            out.write_bytes(kept)
+        assert main(["mine", "--input", str(example_file), *MINE_FLAGS,
+                     "--output", str(output), "--stats", str(stats)]) == 2
+        err = capsys.readouterr().err
+        assert "--stats" in err and err.count("\n") == 1
+        assert (output.read_bytes() if output.exists() else None) == kept
+        assert example_file.read_text() == EXAMPLE_TEXT
+
+
+@pytest.mark.parametrize("mode", ["targeted", "full"])
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, mode):
+    """``gen`` and ``mine --stats``, each run as ``python -m tirpmine`` under
+    PYTHONHASHSEED 0 and 1, which reorder every set of event names: the
+    database, the results and the stats but ``elapsed_ms`` are the same
+    bytes."""
+    runs = []
+    for seed in ("0", "1"):
+        env = {**module_env(), "PYTHONHASHSEED": seed}
+        db, out, stats = (tmp_path / f"{name}-{seed}" for name in ("db", "out", "stats"))
+        for argv in (["gen", "--sequences", "40", "--intervals", "8", "--alphabet", "6",
+                      "--max-time", "40", "--seed", "3", "--output", str(db)],
+                     ["mine", "--input", str(db), "--mode", mode, "--qes", "0",
+                      "--min-sup", "0.2", "--max-gap", "5", "--output", str(out),
+                      "--stats", str(stats)]):
+            done = subprocess.run([sys.executable, "-m", "tirpmine", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        counters = [line for line in stats.read_bytes().splitlines()
+                    if not line.startswith(b"elapsed_ms=")]
+        runs.append((db.read_bytes(), out.read_bytes(), counters))
+    assert runs[0] == runs[1]
+    assert runs[0][1].count(b"\n") > 1 and len(runs[0][2]) == 6
 
 
 @pytest.mark.parametrize(

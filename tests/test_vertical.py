@@ -268,7 +268,7 @@ def test_rows_are_untracked_plain_tuples(example_db):
             assert type(r) is tuple
             assert not gc.is_tracked(r)
     for v, rows in zip(vdbs, stored):
-        assert v.rows == rows
+        assert v.rows == [(sid, *r) for sid, rs in v.by_sid.items() for r in rs]
         for r in v.rows:
             assert type(r) is PatternOccurrence
             seq = example_db.sequence_by_sid[r.sid]
@@ -308,16 +308,16 @@ def test_extension_invariants_on_random_dbs(seed):
             # row, once, in prefix-row then eid order, and nothing else is
             for sid, prefix_rows in prefix.by_sid.items():
                 seq = sequences[sid]
-                # A stored row is (sid, eid, start_t, end_t, relation, prefix).
-                expected = [(id(p), q[1]) for p in prefix_rows
-                            for q in single.by_sid.get(sid, ()) if q[1] > p[1]
+                # A stored row is (eid, start_t, end_t, relation, prefix).
+                expected = [(id(p), q[0]) for p in prefix_rows
+                            for q in single.by_sid.get(sid, ()) if q[0] > p[0]
                             and check_extension_validity(
-                                Span(p[2], p[3]),
-                                SymbolicInterval(*seq.intervals[q[1] - 1]),
+                                Span(p[1], p[2]),
+                                SymbolicInterval(*seq.intervals[q[0] - 1]),
                                 constraints) is not None]
                 rows = ext.by_sid.get(sid, [])
-                assert [(id(r[5]), r[1]) for r in rows] == expected
-                assert all(seq.intervals[r[1] - 1][2] == cand for r in rows)
+                assert [(id(r[4]), r[0]) for r in rows] == expected
+                assert all(seq.intervals[r[0] - 1][2] == cand for r in rows)
             assert ext.by_sid.keys() <= prefix.by_sid.keys()
             # no sid is kept without rows, since vertical support counts sids
             assert all(ext.by_sid.values())
@@ -371,7 +371,7 @@ def test_extend_prefix_records_no_relation(monkeypatch):
 
     def recorded_join(prefix, candidates, scan, match=0):
         joined = join(prefix, candidates, scan, match)
-        relations.update(r[4] for v in joined.values() for rows in v.by_sid.values()
+        relations.update(r[3] for v in joined.values() for rows in v.by_sid.values()
                          for r in rows)
         return joined
 
@@ -407,7 +407,7 @@ def test_extend_prefix_applies_the_rule_of_extend_vdb_at_every_edge(epsilon):
         for sid, (end, b) in enumerate(
             ((end, b) for end in range(epsilon, grid + 1) for b in spans), start=1)))
     prefix = VerticalDatabase(("P",), {
-        seq.sid: [(seq.sid, 1, start, up, None, None) for up in range(end, grid + 1)]
+        seq.sid: [(1, start, up, None, None) for up in range(end, grid + 1)]
         for seq in db.sequences for start, end, _ in seq.intervals[:1]})
     relations, rows_at = set(), {}
     bounds = [("none", None)] + [(name, v) for name in (
@@ -422,7 +422,7 @@ def test_extend_prefix_applies_the_rule_of_extend_vdb_at_every_edge(epsilon):
         assert got.keys() == want.keys()
         for e, ext in got.items():
             assert list(ext.by_sid.items()) == _unlabelled(want[e].by_sid)
-            relations.update(r[4] for rows in want[e].by_sid.values() for r in rows)
+            relations.update(r[3] for rows in want[e].by_sid.values() for r in rows)
         rows_at[name, value] = sum(len(rows) for ext in got.values()
                                    for rows in ext.by_sid.values())
     assert relations == set(RELATIONS)
@@ -455,6 +455,7 @@ def test_query_reach_builds_a_sequence_table_once():
     db = parse_database("1|A,0,1 B,2,3 A,4,5 C,6,7\n2|C,0,1 A,2,3\n")
     first, second = db.sequences
     scan = Scan(db, Constraints(), 1, ("A", "C"))
+    scan.stones = set(db.alphabet)
     assert scan[first.sid][0] == [3, 4, 5]
     assert scan[second.sid][0] == [0, 1, 3]
     assert scan[db.restrict([0]).sequences[0].sid] is scan[first.sid]
@@ -610,8 +611,8 @@ def _reach_mismatches(seeds):
     query, after the candidate has matched its query event if it is the
     next one; with no gap bound, any embedding after the row's eid does.
     Stones lie within the duration bounds. Each threshold runs twice: with
-    a new scan's stones, every event of the database, and with those the
-    singleton pass sets for the miner. The candidates returned are those
+    every event of the database as stones, and with those the singleton
+    pass sets for the miner. The candidates returned are those
     with at least ``threshold`` sequences left. Prefixes are
     singletons and the full joins of two events, at epsilon 0 to 2, with
     queries of one to three events."""
@@ -646,7 +647,7 @@ def _reach_mismatches(seeds):
                         after = match + (match < len(query) and e == query[match])
                         full = extend_vdb(prefix, e, singletons[e], c).by_sid
                         kept = {sid: [r for r in rows if _chain_reaches(
-                                    sequences[sid].intervals, r[1], r[3], query[after:], reach,
+                                    sequences[sid].intervals, r[0], r[2], query[after:], reach,
                                     stones, *_dura(c))]
                                 for sid, rows in full.items()}
                         kept = {sid: rows for sid, rows in kept.items() if rows}
@@ -710,6 +711,7 @@ def test_a_join_keeps_no_hit_where_the_rest_of_the_query_is_absent():
     for max_gap in (None, 5):
         c = Constraints(max_gap=max_gap)
         scan = Scan(db, c, 1, ("A", "Z"))
+        scan.stones = set(db.alphabet)
         assert extend_prefix(build_singleton_vdbs(db, c)["D"], ["A"], scan) == {}
         assert scan[1][0] == [0, 0, 4]
 
@@ -722,6 +724,7 @@ def test_a_join_tests_reach_before_the_extension_rule():
     db = parse_database("1|A,0,5 B,5,9 C,6,7 Z,12,13\n")
     c = Constraints(min_gap=2, max_gap=3)
     scan = Scan(db, c, 1, ("A", "Z"))
+    scan.stones = set(db.alphabet)
     got = extend_prefix(build_singleton_vdbs(db, c)["A"], ["B", "C"], scan, 1)
     assert got.keys() == {"B"} and scan.pruned == 1
 
@@ -764,11 +767,11 @@ def test_the_seed_screen_builds_the_live_rows():
                 for e, v in full.items():
                     rest = query[int(e == query[0]):]
                     rows = {sid: [r for r in rows if _chain_reaches(
-                                db.sequence_by_sid[sid].intervals, r[1], r[3], rest, reach,
+                                db.sequence_by_sid[sid].intervals, r[0], r[2], rest, reach,
                                 stones, *_dura(c))]
                             for sid, rows in v.by_sid.items()}
                     live[e] = {sid: rows for sid, rows in rows.items() if rows}
-                dead = sum(r[1] <= _latest_start(db.sequence_by_sid[sid].intervals, query)
+                dead = sum(r[0] <= _latest_start(db.sequence_by_sid[sid].intervals, query)
                            and r not in live[e].get(sid, ())
                            for e, v in full.items() for sid, rows in v.by_sid.items() for r in rows)
                 return live, dead
@@ -836,8 +839,8 @@ def test_the_seed_screen_reads_no_interval_past_the_querys_latest_start():
             got = build_singleton_vdbs(cut, c, threshold, Scan(plain, c, threshold, qes))
             want = build_singleton_vdbs(plain, c, threshold, Scan(plain, c, threshold, qes))
             assert got == want
-    assert got["A"].by_sid == {1: [(1, 1, 0, 1, None, None), (1, 3, 4, 5, None, None)],
-                               3: [(3, 2, 2, 3, None, None), (3, 4, 6, 7, None, None)]}
+    assert got["A"].by_sid == {1: [(1, 0, 1, None, None), (3, 4, 5, None, None)],
+                               3: [(2, 2, 3, None, None), (4, 6, 7, None, None)]}
     # At threshold 2, C and B have live seeds in one sequence each.
     assert got["C"].by_sid == got["B"].by_sid == {}
 
@@ -927,6 +930,7 @@ def test_extend_prefix_reads_any_database_that_holds_the_prefix():
                     runs = []
                     for source in (db, restricted):
                         scans = [Scan(source, c, t), Scan(source, c, t, qes)]
+                        scans[1].stones = set(source.alphabet)
                         runs.append([
                             [(e, list(v.by_sid.items())) for e, v in
                              extend_prefix(prefix, events, scan, m).items()]
@@ -1002,6 +1006,7 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
             events = sorted(singletons)
             restricted = db.restrict(range(0, len(db), 2))
             whole, own = Scan(db, c, t, qes), Scan(restricted, c, t, qes)
+            whole.stones = own.stones = set(db.alphabet)
             for seq in restricted.sequences:
                 assert whole.sequences[seq.sid] is seq is own.sequences[seq.sid]
                 assert whole[seq.sid] == own[seq.sid] == reach_table(
@@ -1038,6 +1043,6 @@ def _replay_envelope(seq, row: PatternOccurrence) -> None:
 
 def _unlabelled(by_sid) -> list:
     """``extend_vdb``'s rows as ``extend_prefix`` builds them, ``by_sid``'s
-    items in order with each row's relation set to None; keys, sids,
-    positions, envelopes and prefix links are kept."""
-    return [(sid, [(*r[:4], None, r[5]) for r in rows]) for sid, rows in by_sid.items()]
+    items in order with each row's relation set to None; keys, positions,
+    envelopes and prefix links are kept."""
+    return [(sid, [(*r[:3], None, r[4]) for r in rows]) for sid, rows in by_sid.items()]
