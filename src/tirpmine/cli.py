@@ -159,9 +159,17 @@ def _format_stats(stats) -> str:
     )
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: where both exist, by device and
+    inode, which sees hard links too; else by their resolved paths."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_mine(args) -> int:
     for flag, path in (("--input", args.input), ("--output", args.output)):
-        if args.stats and path and os.path.realpath(args.stats) == os.path.realpath(path):
+        if args.stats and path and _same_file(args.stats, path):
             raise ValueError(f"--stats names the same file as {flag}, which it would overwrite")
     qes = _parse_qes(args, required=args.mode != MODE_FULL)
     flags = StrategyFlags(usfp=not args.no_usfp)

@@ -29,11 +29,15 @@ of constrained sequential miners such as cSPADE; with no gap bound, every
 hit after which the sequence no longer holds that rest. A step is a query
 event or a stepping stone, and in the miner a stone is an interval the
 search could append: one of a frequent event, within the duration bounds.
-It reads one ``reach_table`` per sequence. The singleton pass applies the
-same test to the seeds, read only up to the query's latest start, and a
-seed with too few live sequences is never joined: each row is tested once,
-where it is born. The scan applies the extension rule's bounds inline, with its own
-comparisons, and classifies no step.
+It reads one ``reach_table`` per sequence, made in two steps: its bounds
+first, and its columns only when a row first reads the table, each from
+its bound down to its floor, the end of the greedy embedding of the part of
+the query a reading row has matched, below which no such row lies. The
+singleton pass applies the same test to the seeds, read only up to the
+query's latest start, and a seed with too few live sequences is never
+joined: each row is tested once, where it is born. The scan applies the
+extension rule's bounds inline, with its own comparisons, and classifies no
+step.
 ``extend_vdb`` joins a prefix with one candidate's singleton rows by a
 plain scan of every later row, through ``model._check_extension``;
 together they are the independent reference the scan is tested against.
@@ -124,29 +128,33 @@ def build_singleton_vdbs(db: Database, c: Constraints, threshold: int = 0,
     Given a ``scan`` with a query, the same pass screens the seeds: a
     seed's rows have matched ``k`` query events, 1 when its event is the
     query's first and 0 otherwise, and every event is screened but a
-    one-event query's own, which a seed completes. With ``starts, columns =
-    scan[sid]``, a row at ``pos`` is live when ``end >= columns[k][pos]``,
-    the test ``extend_prefix`` applies to a hit, which fails from ``pos >=
+    one-event query's own, which a seed completes. With ``starts`` the
+    sequence's ``reach_bounds`` and ``columns`` its table's columns, a row
+    at ``pos`` is live when ``end >= columns[k][pos]``, the test
+    ``extend_prefix`` applies to a hit, which fails from ``pos >=
     starts[k]`` on. Every live row lies at or before the query's latest
     start ``starts[0]``: another event needs ``pos < starts[0]``, and a
     ``qes[0]`` past it but before ``starts[1]`` would itself be a later
-    start. So the screen reads each sequence only up to that position, a
-    sequence without the query costs one table, and the screen stops once
-    no screened event can reach ``threshold`` live sequences. Every screened
-    event that ``event_support`` puts in ``threshold`` sequences keys a
-    database, as a join candidate, empty when it has too few live ones.
-    ``scan.pruned`` grows by the screened rows the test drops.
+    start. So the screen takes each sequence's bounds, reads it only up to
+    that position, and at the first screened row it meets there fills the
+    columns from those bounds and stores the table in the scan: a sequence
+    with none, such as one without the query, costs its bounds alone. The screen stops once no screened event can reach ``threshold``
+    live sequences. Every screened event that ``event_support`` puts in
+    ``threshold`` sequences keys a database, as a join candidate, empty
+    when it has too few live ones. ``scan.pruned`` grows by the screened
+    rows the test drops.
 
     Given a ``scan``, the pass also sets ``scan.stones``, before it reads a
     table, to the events ``event_support`` puts in ``threshold`` sequences:
     they include every candidate it returns, so a search that joins only
     these candidates appends no interval of any other event."""
     wanted = frequent = {e for e, count in db.event_support.items() if count >= threshold}
+    qes = ()
     if scan is not None:
         scan.stones = frequent
+        qes, sequences, gap_reach = scan.qes, scan.sequences, scan.gap_reach
     min_dura = c.min_dura
     max_dura = _UNBOUNDED if c.max_dura is None else c.max_dura
-    qes = scan.qes if scan is not None else ()
     first = qes[0] if qes else None
     done = first if len(qes) == 1 else None  # a seed of it has no query left
     screened = screening = bool(qes and frequent - {done})
@@ -165,13 +173,19 @@ def build_singleton_vdbs(db: Database, c: Constraints, threshold: int = 0,
         sid = seq.sid
         intervals = seq.intervals
         if screening:
-            starts, columns = scan[sid]
+            whole = sequences[sid].intervals
+            starts, columns = reach_bounds(whole, qes), None
             intervals = intervals[:starts[0]]
         for pos, (start, end, event) in enumerate(intervals, start=1):
             if event in wanted and min_dura <= end - start <= max_dura:
-                if screening and event != done and end < columns[event == first][pos]:
-                    pruned += 1
-                    continue
+                if screening and event != done:
+                    if columns is None:  # the first screened row: fill the table
+                        columns = reach_columns(whole, qes, starts, gap_reach, frequent,
+                                                min_dura, max_dura)
+                        scan[sid] = starts, columns
+                    if end < columns[event == first][pos]:
+                        pruned += 1
+                        continue
                 row = (pos, start, end, None, None)
                 by_sid = groups.get(event)
                 if by_sid is None:
@@ -269,11 +283,31 @@ def extend_vdb(
     return VerticalDatabase(prefix.events + (candidate,), by_sid)
 
 
-def reach_table(intervals, qes, gap_reach, stones, min_dura,
-                max_dura) -> tuple[list[int], list[list]]:
-    """The reach of each rest ``qes[k:]`` of the query in ``intervals``,
-    ``(start, end, event)`` triples, as ``(starts, columns)``, with a last
-    entry for the empty rest.
+def reach_bounds(intervals, qes) -> list[int]:
+    """The bounds of ``reach_table``: ``starts[k]`` is the greatest position
+    at which an embedding of the rest ``qes[k:]`` of the query in
+    ``intervals`` can start, or 0 when there is none, and ``len(intervals) +
+    1`` for the empty rest. One backward scan per ``k``, last first, from
+    below the later rest's bound down to the first match of ``qes[k]``; it
+    reads only the events, by index."""
+    bound = len(intervals) + 1
+    starts = [bound]
+    for q in reversed(qes):
+        # Position p is index p - 1, so the match lies below index bound - 1.
+        for i in range(bound - 2, -1, -1):
+            if intervals[i][2] == q:
+                break
+        else:
+            i = -1  # no match, or a later bound of 0 or 1: no index below it
+        bound = i + 1
+        starts.append(bound)
+    starts.reverse()
+    return starts
+
+
+def reach_columns(intervals, qes, starts, gap_reach, stones, min_dura,
+                  max_dura) -> list[list]:
+    """The columns of ``reach_table``, filled from its bounds ``starts``.
 
     ``columns[k]`` is a table over interval indexes ``i``, 0 to
     ``len(intervals)``: the least envelope end E from which ``qes[k:]`` can
@@ -287,35 +321,42 @@ def reach_table(intervals, qes, gap_reach, stones, min_dura,
     less, so an envelope reaches the rest exactly when its end is at least
     the entry. The empty rest's column is minus infinity throughout.
 
-    ``starts[k]``, the column's bound, is the greatest position at which an
-    embedding of ``qes[k:]`` can start, or 0 when there is none, and
-    ``len(intervals) + 1`` for the empty rest. The column is finite exactly
-    below index ``starts[k]``, since from a great enough E every step is in
-    reach.
+    Column ``k`` holds these entries only from its floor upward, the
+    position where the greedy left-to-right embedding of ``qes[:k]`` ends
+    (0 for ``k = 0``), and infinity below it: a row that has matched
+    ``qes[:k]`` lies at or after the floor. Above the floor the column is
+    finite exactly below index ``starts[k]``, since from a great enough E
+    every step is in reach. With no embedding of ``qes[:k]``, or one ending
+    at or past the bound, the column is infinite throughout.
 
-    One backward pass per ``k``, last first, from below the later rest's
-    bound: it scans down to the first match of ``qes[k]``, the bound, and
-    fills the column from there down. From index ``i``, the rest is reached
-    either from ``i + 1`` on, or by a first step on interval ``i``. A stone
-    there helps only when its end reaches what index ``i + 1`` needs, and
-    then needs E to reach its start; a match of ``qes[k]`` needs that too,
-    and E or its end must reach what ``qes[k + 1:]`` needs from ``i + 1``.
+    Each column is filled from its bound down to its floor. From index
+    ``i``, the rest is reached either from ``i + 1`` on, or by a first step
+    on interval ``i``. A stone there helps only when its end reaches what
+    index ``i + 1`` needs, and then needs E to reach its start; a match of
+    ``qes[k]`` needs that too, and E or its end must reach what ``qes[k +
+    1:]`` needs from ``i + 1``, which lies at or above the next column's
+    floor.
     """
     size = len(intervals) + 1
-    bound, column = size, [-_UNBOUNDED] * size
-    starts, columns = [bound], [column]
+    floors, floor = [0], 0
+    for k in range(1, len(qes)):
+        # The next qes[k - 1]; one at index starts[k] - 1 or later would
+        # leave column k nothing to fill, and so every later column.
+        q = qes[k - 1]
+        for i in range(floor, starts[k] - 1):
+            if intervals[i][2] == q:
+                floor = i + 1
+                break
+        else:
+            floor = size
+        floors.append(floor)
+    column = [-_UNBOUNDED] * size
+    columns = [column]
     for k in range(len(qes) - 1, -1, -1):
         q, later = qes[k], column
         column = [_UNBOUNDED] * size
         least = _UNBOUNDED
-        # Position p is index p - 1, so the match lies below index bound - 1.
-        for i in range(bound - 2, -1, -1):
-            if intervals[i][2] == q:
-                break
-        else:
-            i = -1  # no match, or a later bound of 0 or 1: no index below it
-        bound = i + 1
-        for i in range(i, -1, -1):
+        for i in range(starts[k] - 1, floors[k] - 1, -1):
             start, end, event = intervals[i]
             reach = start - gap_reach
             if event == q:
@@ -328,11 +369,19 @@ def reach_table(intervals, qes, gap_reach, stones, min_dura,
                   and event in stones and min_dura <= end - start <= max_dura):
                 least = reach
             column[i] = least
-        starts.append(bound)
         columns.append(column)
-    starts.reverse()
     columns.reverse()
-    return starts, columns
+    return columns
+
+
+def reach_table(intervals, qes, gap_reach, stones, min_dura,
+                max_dura) -> tuple[list[int], list[list]]:
+    """The reach of each rest ``qes[k:]`` of the query in ``intervals``,
+    ``(start, end, event)`` triples, as ``(starts, columns)``, with a last
+    entry for the empty rest: ``reach_bounds`` and then ``reach_columns``
+    from them."""
+    starts = reach_bounds(intervals, qes)
+    return starts, reach_columns(intervals, qes, starts, gap_reach, stones, min_dura, max_dura)
 
 
 class Scan(dict):
@@ -344,14 +393,17 @@ class Scan(dict):
     on, and ``pruned``, the work it saves.
 
     Each sid of ``db`` maps to its sequence's ``reach_table`` for ``qes``,
-    ``(starts, columns)``, built by the seed screen or the first join with
-    query left that reaches the sequence, and kept for the search: a row
-    that has matched ``qes[:m]`` can reach the query only if ``end_t >=
-    columns[m][eid]``, which holds at no ``eid`` from ``starts[m]`` on.
-    A table steps only on intervals of ``stones`` within the duration
-    bounds, as a hit must be. ``build_singleton_vdbs`` sets the stones, to
-    the events it may make join candidates, before it reads a table; a
-    scan has none before that pass."""
+    ``(starts, columns)``, kept for the search: a row that has matched
+    ``qes[:m]`` can reach the query only if ``end_t >= columns[m][eid]``,
+    which holds at no ``eid`` from ``starts[m]`` on. The seed screen takes
+    every screened sequence's bounds, and stores its table only at the
+    first screened row it meets there, filling the columns from those
+    bounds; the first join with query left that reaches a sequence not
+    stored builds its table whole. A table steps only on intervals of
+    ``stones`` within the duration bounds, as a hit must be.
+    ``build_singleton_vdbs`` sets the stones, to the events it may make
+    join candidates, before it reads a table; a scan has none before that
+    pass."""
 
     def __init__(self, db: Database, c: Constraints, threshold: int,
                  qes: tuple[str, ...] = ()):

@@ -6,7 +6,6 @@ import pytest
 from tirpmine import Constraints, MiningConfig, SymbolicInterval, parse_database
 from tirpmine.database import Database, make_sequence
 from tirpmine.miner import contains_subsequence
-from tirpmine.vertical import reach_table
 
 # The five-sequence worked example used throughout the tests.
 EXAMPLE_TEXT = """\
@@ -76,13 +75,12 @@ def random_trial(seed: int, epsilon: int | None = None):
     return db, constraints, min_sup, qes
 
 
-def earliest_reach(intervals, qes, gap_reach, stones, min_dura, max_dura):
-    """Like ``tirpmine.vertical.reach_table``, with the same stones, but the
-    bound of each rest ``qes[k:]`` is where its leftmost embedding starts,
-    and its column is infinite from that index on. As the table of query
-    row pruning it is too tight: it drops rows that can still reach the
-    query, so tests patch it in to show that they catch such a bound."""
-    _, columns = reach_table(intervals, qes, gap_reach, stones, min_dura, max_dura)
+def earliest_bounds(intervals, qes):
+    """Like ``tirpmine.vertical.reach_bounds``, but the bound of each rest
+    ``qes[k:]`` is where its leftmost embedding starts, so a column filled
+    from it is infinite from that index on. As the bounds of query row
+    pruning they are too tight: they drop rows that can still reach the
+    query, so tests patch them in to show that they catch such a bound."""
     events = [event for _, _, event in intervals]
     starts = []
     for k in range(len(qes)):
@@ -91,19 +89,17 @@ def earliest_reach(intervals, qes, gap_reach, stones, min_dura, max_dura):
                  and (not rest or contains_subsequence(events[pos:], rest))]
         starts.append(found[0] if found else 0)
     starts.append(len(events) + 1)
-    return starts, [column[:bound] + [math.inf] * (len(column) - bound)
-                    for column, bound in zip(columns, starts)]
+    return starts
 
 
-def stoneless_reach(intervals, qes, gap_reach, stones, min_dura, max_dura):
-    """Like ``tirpmine.vertical.reach_table``, but in its columns every
-    step of a chain must be the next query event: no other interval may
-    serve as a stepping stone, whatever the stones passed. As the table of
-    query row pruning it is too tight: a chain that bridges a long gap
-    through other intervals is missed, and rows that can still reach the
-    query are dropped, so tests patch it in to show that they catch such a
+def stoneless_columns(intervals, qes, starts, gap_reach, stones, min_dura, max_dura):
+    """Like ``tirpmine.vertical.reach_columns``, but every step of a chain
+    must be the next query event: no other interval may serve as a
+    stepping stone, whatever the stones passed. As the columns of query row
+    pruning they are too tight: a chain that bridges a long gap through
+    other intervals is missed, and rows that can still reach the query are
+    dropped, so tests patch them in to show that they catch such a
     table."""
-    starts, _ = reach_table(intervals, qes, gap_reach, stones, min_dura, max_dura)
     size = len(intervals) + 1
     columns = [[-math.inf] * size]
     for k in range(len(qes) - 1, -1, -1):
@@ -115,4 +111,4 @@ def stoneless_reach(intervals, qes, gap_reach, stones, min_dura, max_dura):
                 least = min(least, max(start - gap_reach, rest if end < rest else -math.inf))
             column[i] = least
         columns.insert(0, column)
-    return starts, columns
+    return columns

@@ -273,6 +273,25 @@ def test_stats_over_the_output_or_input_file_is_refused(example_file, tmp_path, 
         assert example_file.read_text() == EXAMPLE_TEXT
 
 
+def test_stats_hard_linked_to_the_output_or_input_file_is_refused(example_file, tmp_path,
+                                                                   capsys):
+    """A hard link has its own resolved path, so only the file's identity
+    shows that a ``--stats`` path linked to ``--input`` or ``--output``
+    would overwrite it: either exits 2 with a message naming ``--stats``,
+    and both files keep their bytes."""
+    out = tmp_path / "out.tsv"
+    out.write_bytes(b"kept\n")
+    for target in (example_file, out):
+        stats = tmp_path / f"stats-{target.name}"
+        os.link(target, stats)
+        assert main(["mine", "--input", str(example_file), *MINE_FLAGS,
+                     "--output", str(out), "--stats", str(stats)]) == 2
+        err = capsys.readouterr().err
+        assert "--stats" in err and err.count("\n") == 1
+        assert out.read_bytes() == b"kept\n"
+        assert example_file.read_text() == EXAMPLE_TEXT
+
+
 @pytest.mark.parametrize("mode", ["targeted", "full"])
 def test_output_does_not_depend_on_the_hash_seed(tmp_path, mode):
     """``gen`` and ``mine --stats``, each run as ``python -m tirpmine`` under

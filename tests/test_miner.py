@@ -26,7 +26,7 @@ from tirpmine import miner
 from tirpmine.database import make_sequence
 from tirpmine.miner import MODES, _mine_stream
 from tirpmine.oracle import enumerate_all, target_filter
-from tirpmine.vertical import Scan, reach_table
+from tirpmine.vertical import Scan, reach_columns, reach_table
 
 from conftest import (
     EXAMPLE_CONSTRAINTS,
@@ -34,9 +34,9 @@ from conftest import (
     EXAMPLE_PATTERNS,
     EXAMPLE_QES,
     EXAMPLE_TEXT,
-    earliest_reach,
+    earliest_bounds,
     random_trial,
-    stoneless_reach,
+    stoneless_columns,
 )
 
 
@@ -471,7 +471,7 @@ def test_query_row_pruning_from_the_earliest_embedding_misses_patterns(monkeypat
     """A reach table bounded by the earliest embedding starts drops rows
     that can still reach the query, and with them patterns or supporting
     sequences, which the oracle check above catches."""
-    monkeypatch.setattr("tirpmine.vertical.reach_table", earliest_reach)
+    monkeypatch.setattr("tirpmine.vertical.reach_bounds", earliest_bounds)
     assert _oracle_misses(range(40)) > 0
 
 
@@ -480,7 +480,7 @@ def test_query_row_pruning_without_stepping_stones_misses_patterns(monkeypatch):
     reach the query through other intervals, in the seed screen and in the
     joins, and with them patterns or supporting sequences, which the
     oracle check above catches."""
-    monkeypatch.setattr("tirpmine.vertical.reach_table", stoneless_reach)
+    monkeypatch.setattr("tirpmine.vertical.reach_columns", stoneless_columns)
     assert _oracle_misses(range(40)) > 0
 
 
@@ -516,8 +516,8 @@ def test_query_row_pruning_short_of_a_frequent_stone_misses_patterns(monkeypatch
     """Stones that lack one event frequent in the mined database drop rows
     that reach the query through that event's intervals, and with them
     patterns or supporting sequences, which the oracle check catches."""
-    def short_of_one(intervals, qes, gap_reach, stones, *bounds):
-        return reach_table(intervals, qes, gap_reach, set(sorted(stones)[1:]), *bounds)
+    def short_of_one(intervals, qes, starts, gap_reach, stones, *bounds):
+        return reach_columns(intervals, qes, starts, gap_reach, set(sorted(stones)[1:]), *bounds)
 
-    monkeypatch.setattr("tirpmine.vertical.reach_table", short_of_one)
+    monkeypatch.setattr("tirpmine.vertical.reach_columns", short_of_one)
     assert _oracle_misses(range(40)) > 0

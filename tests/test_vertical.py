@@ -30,15 +30,18 @@ from tirpmine import miner
 from tirpmine.database import make_sequence
 from tirpmine.miner import contains_subsequence
 from tirpmine.model import RELATIONS
+from tirpmine.oracle import enumerate_all, target_filter
 from tirpmine.vertical import (
     PatternOccurrence,
     Scan,
     VerticalDatabase,
     extend_prefix,
+    reach_bounds,
+    reach_columns,
     reach_table,
 )
 
-from conftest import EXAMPLE_CONSTRAINTS, earliest_reach, random_trial, stoneless_reach
+from conftest import EXAMPLE_CONSTRAINTS, earliest_bounds, random_trial, stoneless_columns
 
 
 class TestSingletonVdbs:
@@ -509,15 +512,65 @@ def _latest_start(intervals, qes) -> int:
     return reach_table(intervals, qes, math.inf, set(), 0, math.inf)[0][0]
 
 
+def _floor(events, done) -> int:
+    """The position where the greedy left-to-right embedding of ``done`` in
+    ``events`` ends, 0 for no events, or past every index when there is no
+    embedding: a row that has matched ``done`` lies at or after it, so its
+    column is read there and above only."""
+    pos = 0
+    for event in done:
+        if event not in events[pos:]:
+            return len(events) + 1
+        pos = events.index(event, pos) + 1
+    return pos
+
+
+def _full_columns(intervals, qes, reach, rule) -> list[list]:
+    """Each rest's whole column, from index 0: column 0 of the table of that
+    rest alone, whose floor is 0. A column's entries depend on its rest of
+    the query only, so from its floor upward ``reach_table``'s column ``k``
+    for ``qes`` is this one for ``qes[k:]``."""
+    size = len(intervals) + 1
+    return [reach_table(intervals, qes[k:], reach, *rule)[1][0]
+            for k in range(len(qes))] + [[-math.inf] * size]
+
+
+def _check_columns(intervals, qes, reach, rule, starts, columns) -> int:
+    """Check a reach table's columns from each one's floor upward against
+    the whole columns of ``_full_columns``, and every entry of those
+    against the brute-force chain search: a chain from an envelope ending
+    at a finite entry reaches the column's rest of the query, and none from
+    one unit less; an infinite entry is reached from no end. Returns the
+    number of columns whose sequence has no embedding of the query before
+    them, which are read nowhere."""
+    events = [event for _, _, event in intervals]
+    full = _full_columns(intervals, qes, reach, rule)
+    lacking = 0
+    for k, column in enumerate(columns[:-1]):
+        floor = _floor(events, qes[:k])
+        lacking += floor > len(events)
+        assert column[floor:] == full[k][floor:], (k, floor)
+        for i, least in enumerate(full[k]):
+            if math.isinf(least):
+                end = 10 ** 6 if least > 0 else -10 ** 6
+                assert _chain_reaches(
+                    intervals, i, end, qes[k:], reach, *rule) == (least < 0), (k, i)
+            else:
+                assert _chain_reaches(intervals, i, least, qes[k:], reach, *rule), (k, i)
+                assert not _chain_reaches(intervals, i, least - 1, qes[k:], reach, *rule), (k, i)
+    assert columns[-1] == full[-1]
+    return lacking
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_least_ends_is_the_least_end_a_chain_reaches_the_rest_from(seed):
     """The whole reach table of random sequences at epsilon 0 to 2, with
     max_gap finite and unbounded: each bound is the greatest position at
-    which an embedding of its rest of the query starts; a chain from an
-    envelope ending at a finite entry reaches that rest, and none from one
-    unit less; an infinite entry is reached from no end; and with no gap
-    bound the entries below the bound are minus infinity, the rest
-    infinity."""
+    which an embedding of its rest of the query starts; from each column's
+    floor upward, a chain from an envelope ending at a finite entry reaches
+    that rest, and none from one unit less; an infinite entry is reached
+    from no end; and with no gap bound the entries below the bound are
+    minus infinity, the rest infinity."""
     rng = random.Random(seed)
     epsilon = seed % 3
     for _ in range(4):
@@ -539,16 +592,43 @@ def test_least_ends_is_the_least_end_a_chain_reaches_the_rest_from(seed):
                          and _embeds_after(events, pos, qes[k + 1:])]
                 assert starts[k] == max(found, default=0)
                 assert len(column) == size
-                for i, least in enumerate(column):
-                    if max_gap is None:
-                        assert least == (-math.inf if i < starts[k] else math.inf), (k, i)
-                    if math.isinf(least):
-                        end = 10 ** 6 if least > 0 else -10 ** 6
-                        assert _chain_reaches(
-                            intervals, i, end, qes[k:], reach, *rule) == (least < 0)
-                    else:
-                        assert _chain_reaches(intervals, i, least, qes[k:], reach, *rule)
-                        assert not _chain_reaches(intervals, i, least - 1, qes[k:], reach, *rule)
+            if max_gap is None:
+                for k, column in enumerate(_full_columns(intervals, qes, reach, rule)):
+                    assert column == [-math.inf] * starts[k] + [math.inf] * (size - starts[k]), k
+            _check_columns(intervals, qes, reach, rule, starts, columns)
+
+
+def test_a_column_is_filled_down_to_its_floor_only():
+    """Column ``k`` holds its entries from the end of the greedy embedding
+    of ``qes[:k]`` upward, exactly as the brute-force search gives them, and
+    infinity below; a sequence without ``qes[:k]`` has an infinite column
+    ``k``, with no error, and so does one whose only ``qes[:k]`` ends past
+    the column's bound."""
+    rule = ({"A", "B", "C", "X"}, 0, math.inf)
+    # Floors 0, 2 (the first A) and 4 (the first A, B); bounds 3, 5 and 6.
+    intervals = ((0, 1, "X"), (2, 3, "A"), (4, 5, "A"), (6, 7, "B"), (8, 9, "B"), (10, 11, "C"))
+    qes = ("A", "B", "C")
+    starts, columns = reach_table(intervals, qes, 3, *rule)
+    inf = math.inf
+    assert starts == [3, 5, 6, 7]
+    assert columns == [[-3, -1, 1, inf, inf, inf, inf], [inf, inf, 1, 3, 5, inf, inf],
+                       [inf, inf, inf, inf, 5, 7, inf], [-inf] * 7]
+    assert _check_columns(intervals, qes, 3, rule, starts, columns) == 0
+    # No A, B before the last C: column 2 has nothing to fill, nor does a
+    # sequence with no A at all its columns 1 and 2.
+    for intervals, lacking in ((((0, 1, "A"), (2, 3, "C"), (4, 5, "B")), 0),
+                               (((0, 1, "B"), (2, 3, "C")), 2)):
+        starts, columns = reach_table(intervals, qes, 3, *rule)
+        assert columns[1] == columns[2] == [math.inf] * (len(intervals) + 1)
+        assert _check_columns(intervals, qes, 3, rule, starts, columns) == lacking
+    # Mined without the sequence filter, a sequence that holds the query's
+    # last events but not its first fills nothing and breaks nothing.
+    db = parse_database("1|A,0,1 B,2,3 C,4,5\n2|B,0,1 C,2,3\n3|A,0,1 C,2,3 B,4,5\n")
+    c = Constraints(max_gap=3)
+    cfg = MiningConfig(min_sup=1 / 3, constraints=c, strategies=StrategyFlags(usfp=False))
+    results, _ = mine(db, qes, cfg)
+    assert {r.events: (r.vsup, r.supporting_sids) for r in results} \
+        == target_filter(enumerate_all(db, c, 3, 1), qes) == {qes: (1, (1,))}
 
 
 def _pass_stones(db, c, threshold) -> frozenset:
@@ -561,11 +641,12 @@ def _pass_stones(db, c, threshold) -> frozenset:
 @pytest.mark.parametrize("seed", range(30))
 def test_reach_steps_only_on_stones_within_the_duration_bounds(seed):
     """Given stones and duration bounds, the reach table keeps its bounds,
-    which only query events set, and a chain from a finite entry of a
-    column reaches its rest of the query through query events and stones
-    alone, and none from one unit less; an infinite entry is reached from
-    no end. Unbounded, the table is the one in which every interval is a
-    stone. At epsilon 0 to 2, with an event D outside every query."""
+    which only query events set, and from each column's floor upward a
+    chain from a finite entry reaches its rest of the query through query
+    events and stones alone, and none from one unit less; an infinite entry
+    is reached from no end. Unbounded, the table is the one in which every
+    interval is a stone. At epsilon 0 to 2, with an event D outside every
+    query."""
     rng = random.Random(seed)
     epsilon = seed % 3
     stoned = 0
@@ -584,18 +665,12 @@ def test_reach_steps_only_on_stones_within_the_duration_bounds(seed):
             starts, columns = reach_table(intervals, qes, reach, *rule)
             anyway = reach_table(intervals, qes, reach, set("ABCD"), 0, math.inf)
             assert starts == anyway[0]
+            full = _full_columns(intervals, qes, reach, rule)
+            whole = _full_columns(intervals, qes, reach, (set("ABCD"), 0, math.inf))
             if max_gap is None:
-                assert columns == anyway[1]
-            stoned += columns != anyway[1]
-            for k, column in enumerate(columns[:-1]):
-                for i, least in enumerate(column):
-                    if math.isinf(least):
-                        end = 10 ** 6 if least > 0 else -10 ** 6
-                        assert _chain_reaches(
-                            intervals, i, end, qes[k:], reach, *rule) == (least < 0), (k, i)
-                    else:
-                        assert _chain_reaches(intervals, i, least, qes[k:], reach, *rule)
-                        assert not _chain_reaches(intervals, i, least - 1, qes[k:], reach, *rule)
+                assert columns == anyway[1] and full == whole
+            stoned += full != whole
+            _check_columns(intervals, qes, reach, rule, starts, columns)
     assert stoned > 0, 'stones changed no column'
 
 
@@ -687,7 +762,7 @@ def test_reach_from_the_earliest_embedding_drops_rows_it_must_keep(monkeypatch):
     latest keeps a row only if it lies before the leftmost embedding of the
     rest of the query, and so drops rows that still reach it: the check
     above fails."""
-    monkeypatch.setattr("tirpmine.vertical.reach_table", earliest_reach)
+    monkeypatch.setattr("tirpmine.vertical.reach_bounds", earliest_bounds)
     mismatches, _, _, _ = _reach_mismatches(range(60))
     assert mismatches > 0
 
@@ -696,7 +771,7 @@ def test_reach_without_stepping_stones_drops_rows_it_must_keep(monkeypatch):
     """A reach table whose chains may step only on query events misses the
     chains that bridge a gap through other intervals: the check above
     fails."""
-    monkeypatch.setattr("tirpmine.vertical.reach_table", stoneless_reach)
+    monkeypatch.setattr("tirpmine.vertical.reach_columns", stoneless_columns)
     mismatches, _, _, _ = _reach_mismatches(range(60))
     assert mismatches > 0
 
@@ -847,35 +922,55 @@ def test_the_seed_screen_reads_no_interval_past_the_querys_latest_start():
 
 def test_the_seed_screen_builds_no_query_table_when_no_event_is_screened(monkeypatch):
     """With no query, or a one-event query whose event is the only frequent
-    one, nothing is screened: no reach table is built, and the rows are
-    those of the pass without a scan. With any event screened, every
-    sequence gets one table, those without the query too, until no screened
-    event can reach the threshold: at threshold 3 the query B, A leaves A
-    no live row in the first two sequences, and the pass stops."""
+    one, nothing is screened: no reach bounds are taken, no column is
+    filled, and the rows are those of the pass without a scan. With any
+    event screened, every sequence gets its bounds, those without the query
+    too, until no screened event can reach the threshold: at threshold 3
+    the query B, A leaves A no live row in the first two sequences, and the
+    pass stops. Only a sequence with a screened row before the query's
+    latest start gets its columns, and only those are kept in the scan:
+    sequence 1 for the query A, B (its A), and sequence 3 for the query D
+    (its A)."""
     calls = Counter()
 
-    def counted_tables(*args):
-        calls["tables"] += 1
-        return reach_table(*args)
+    def counted_bounds(*args):
+        calls["bounds"] += 1
+        return reach_bounds(*args)
 
-    monkeypatch.setattr("tirpmine.vertical.reach_table", counted_tables)
+    def counted_columns(*args):
+        calls["columns"] += 1
+        return reach_columns(*args)
+
+    monkeypatch.setattr("tirpmine.vertical.reach_bounds", counted_bounds)
+    monkeypatch.setattr("tirpmine.vertical.reach_columns", counted_columns)
     db = parse_database("1|A,0,1 B,2,3\n2|A,0,1 C,2,3\n3|A,4,5 D,6,7\n4|E,0,1\n")
     c = Constraints(max_gap=5)
-    for qes, threshold, tables in (((), 1, 0), (("A",), 3, 0), (("A",), 1, 4),
-                                   (("B", "A"), 1, 4), (("B", "A"), 3, 2)):
+    for qes, threshold, bounds, columns in (
+            ((), 1, 0, 0), (("A",), 3, 0, 0), (("A",), 1, 4, 0), (("B", "A"), 1, 4, 0),
+            (("B", "A"), 3, 2, 0), (("A", "B"), 1, 4, 1), (("D",), 1, 4, 1)):
         calls.clear()
         scan = Scan(db, c, threshold, qes)
         vdbs = build_singleton_vdbs(db, c, threshold, scan)
-        assert calls["tables"] == len(scan) == tables
-        if not tables:
+        assert (calls["bounds"], calls["columns"]) == (bounds, columns), qes
+        assert len(scan) == columns
+        if not bounds:
             assert vdbs == build_singleton_vdbs(db, c, threshold)
     # After the stop a one-event query's own event is read on, unscreened.
     db = parse_database("".join(f"{sid}|A,0,1 B,2,3\n" for sid in range(1, 5)))
     calls.clear()
     scan = Scan(db, c, 3, ("A",))
     vdbs = build_singleton_vdbs(db, c, 3, scan)
-    assert calls["tables"] == len(scan) == 2
+    assert (calls["bounds"], calls["columns"], len(scan)) == (2, 0, 0)
     assert vdbs["A"].vertical_support() == 4 and vdbs["B"].by_sid == {}
+    # A one-event query whose one screened event, B, lies only after the
+    # query's last A, as on a wide, sparse database: each sequence costs
+    # its bounds alone, and B keys an empty database, a candidate only.
+    db = parse_database("1|A,0,1 B,2,3\n2|A,0,1 A,2,3 B,4,5\n3|A,0,1 B,5,6 B,7,8\n")
+    calls.clear()
+    scan = Scan(db, c, 1, ("A",))
+    vdbs = build_singleton_vdbs(db, c, 1, scan)
+    assert (calls["bounds"], calls["columns"], len(scan), scan.pruned) == (3, 0, 0, 0)
+    assert vdbs["A"].supporting_sids() == [1, 2, 3] and vdbs["B"].by_sid == {}
 
 
 def test_a_screened_query_keys_every_event_frequent_by_event_support():
@@ -948,9 +1043,10 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
 
     * a mined query, targeted (with and without sequence filtering) or
       full, reads each sequence's ``start_minima`` property at most once,
-      however many joins reach the sequence, and builds its reach table at
-      most once, for a sequence a join or the seed screen reaches, and none
-      in full mining;
+      however many joins reach the sequence, and takes its reach bounds at
+      most once, for a sequence a join or the seed screen reaches, and
+      fills its columns at most once, only from those bounds, and none of
+      either in full mining;
     * a scan of ``db`` serves prefixes of ``db.restrict``: it reads the
       same sequence objects and builds the tables a scan of the
       restriction builds;
@@ -959,7 +1055,7 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
       None, for every candidate at or above the threshold, and prunes
       nothing at any ``match``; so does a scan whose query is matched,
       which builds no table."""
-    reads, reached, tables = Counter(), Counter(), Counter()
+    reads, reached, bounds, tables = Counter(), Counter(), Counter(), Counter()
     start_minima, join = TimeIntervalSequence.start_minima, miner.extend_prefix
     seeds = miner.build_singleton_vdbs
     sid_of = {}
@@ -968,9 +1064,13 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
         reads[seq.sid] += 1
         return start_minima.fget(seq)
 
-    def counted_table(intervals, *args):
+    def counted_bounds(intervals, *args):
+        bounds[sid_of[id(intervals)]] += 1
+        return reach_bounds(intervals, *args)
+
+    def counted_columns(intervals, *args):
         tables[sid_of[id(intervals)]] += 1
-        return reach_table(intervals, *args)
+        return reach_columns(intervals, *args)
 
     def counted_join(prefix, candidates, scan, match=0):
         reached.update(prefix.by_sid.keys())
@@ -983,21 +1083,23 @@ def test_a_query_scan_reads_each_sequence_once(monkeypatch):
     monkeypatch.setattr(TimeIntervalSequence, "start_minima", property(counted_minima))
     monkeypatch.setattr(miner, "extend_prefix", counted_join)
     monkeypatch.setattr(miner, "build_singleton_vdbs", counted_seeds)
-    monkeypatch.setattr("tirpmine.vertical.reach_table", counted_table)
+    monkeypatch.setattr("tirpmine.vertical.reach_bounds", counted_bounds)
+    monkeypatch.setattr("tirpmine.vertical.reach_columns", counted_columns)
     shared, built = 0, 0
     for seed in range(12):
         for epsilon in (0, 1, 2):
             db, c, min_sup, qes = random_trial(seed, epsilon=epsilon)
             sid_of = {id(seq.intervals): seq.sid for seq in db.sequences}
             for mode, usfp in (("targeted", True), ("targeted", False), ("full", True)):
-                for counter in (reads, reached, tables):
+                for counter in (reads, reached, bounds, tables):
                     counter.clear()
                 mine(db, qes, MiningConfig(min_sup=min_sup, constraints=c, mode=mode,
                                            strategies=StrategyFlags(usfp=usfp),
                                            max_pattern_length=4))
                 assert set(reads.values()) <= {1} and reads.keys() <= reached.keys()
-                assert set(tables.values()) <= {1} and tables.keys() <= reached.keys()
-                assert mode == "targeted" or not tables
+                assert set(bounds.values()) <= {1} and bounds.keys() <= reached.keys()
+                assert set(tables.values()) <= {1} and tables.keys() <= bounds.keys()
+                assert mode == "targeted" or not bounds
                 built += bool(tables)
                 shared += sum(reached[sid] > 1 for sid in reads)
 
